@@ -27,6 +27,7 @@ from .solver import (
     SolverSettings,
     apply_hamiltonian,
     global_ground,
+    global_grounds,
     relax,
     winding_number,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "SolverSettings",
     "apply_hamiltonian",
     "global_ground",
+    "global_grounds",
     "relax",
     "winding_number",
     "HysteresisRecord",

@@ -526,7 +526,7 @@ def run(config: RunConfig) -> int:
     except ValueError as err:
         print(f"error: validation: {err}", file=sys.stderr)
         return 3
-    except ConvergenceError as err:
+    except (ConvergenceError, ArithmeticError) as err:  # ArithmeticError: a diverged step
         print(f"error: convergence: {err}", file=sys.stderr)
         return 4
     if config.output_format == "json":

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .reduction import RingParams
-from .ring import ground_winding
+from .ring import TWO_PI, ground_winding
 
 __all__ = [
     "RingWavefunction",
@@ -42,12 +42,14 @@ __all__ = [
     "relax",
     "winding_number",
     "global_ground",
+    "global_grounds",
     "observables",
     "dump_wavefunction",
 ]
 
-TWO_PI = 2.0 * math.pi
 NODE_FLOOR = 1e-10  # fraction of max |psi| below which winding is undefined
+SEED_SHIFTS = range(-2, 3)  # global search seeds, relative to the analytic winding
+_BATCH_AMPLITUDES = 2**17  # cap on rows * grid_size in one batched relaxation
 
 
 def _check_grid_size(grid_size: int) -> None:
@@ -157,8 +159,9 @@ class GroundStateReport:
     """Outcome of one relaxation run.
 
     mu and energy_per_particle are in ring units (offset excluded, same scale
-    as ring.mu_uniform).  energy_history holds the per-step energies of the
-    run, useful for monotonicity checks.
+    as ring.mu_uniform).  energy_history holds the per-step energies of a
+    relax run, useful for monotonicity checks; the batched search
+    (global_ground, global_grounds) records none and leaves it empty.
     """
 
     wavefunction: RingWavefunction
@@ -371,37 +374,40 @@ def _winding_or_dominant(psi: RingWavefunction) -> int:
         return int(k[int(np.argmax(spec.real**2 + spec.imag**2))])
 
 
-def _relax_batch(params: RingParams, settings: SolverSettings, seeds: list) -> list:
-    """Relax several seed windings side by side (one report per seed).
+# overflow on the way to a divergence is caught by the norm check
+@np.errstate(over="ignore", invalid="ignore")
+def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
+    """Relax (eta, seed winding) pairs side by side (one report per pair).
 
-    Same Strang step as relax, applied to a (batch, G) stack with rows frozen
-    as they converge; rows never couple, so each report matches a standalone
-    relax of that seed up to summation-order roundoff.  Batching exists
-    because the FFT cost at these grid sizes is call-overhead dominated.
+    Same Strang step as relax, applied to a (rows, G) stack in which every
+    row carries its own eta (kinetic multipliers), with rows frozen as they
+    converge; rows never couple, so each report matches a standalone relax
+    of that pair up to summation-order roundoff.  Batching exists because
+    the FFT cost at these grid sizes is call-overhead dominated.  No energy
+    history is recorded.
     """
     g = settings.grid_size
     dphi = TWO_PI / g
     inv_g2 = dphi / g
-    kin = (mode_numbers(g) - params.eta) ** 2
-    half_kinetic = np.exp(-0.5 * settings.tau_step * kin)
-    u = params.u_tilde
     tau = settings.tau_step
     tol = settings.tolerance
     fft, ifft = np.fft.fft, np.fft.ifft
 
     batch = len(seeds)
+    kin = (mode_numbers(g) - np.array([[eta] for eta, _ in seeds])) ** 2
+    half_kinetic = np.exp(-0.5 * tau * kin)
+    u = u_tilde
     psi_final = np.zeros((batch, g), dtype=np.complex128)
     mu = np.full(batch, math.inf)
     mu_prev = np.full(batch, math.inf)
     energy = np.full(batch, math.inf)
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
-    histories: list[list[float]] = [[] for _ in range(batch)]
 
     # working set: rows compress away as they converge, carrying the
     # normalized spectrum across steps so each step needs 3 transforms
     rows = np.arange(batch)
-    spec = fft(np.stack([_seed_state(replace(settings, seed_winding=s)) for s in seeds]))
+    spec = fft(np.stack([_seed_state(replace(settings, seed_winding=seed)) for _, seed in seeds]))
 
     for it in range(1, settings.max_iterations + 1):
         spec *= half_kinetic
@@ -420,15 +426,13 @@ def _relax_batch(params: RingParams, settings: SolverSettings, seeds: list) -> l
             raise ArithmeticError(
                 "imaginary-time step diverged; reduce tau_step (tau_step * u_tilde too large)"
             )
-        kinetic = inv_g2 * (spec2 @ kin) / norm2
+        kinetic = inv_g2 * np.einsum("ij,ij->i", spec2, kin) / norm2
         spec *= (1.0 / np.sqrt(norm2))[:, None]
         sub = ifft(spec)
         dens = sub.real**2 + sub.imag**2
         quart = dphi * np.einsum("ij,ij->i", dens, dens)
         mu_now = kinetic + u * quart
         energy_now = kinetic + 0.5 * u * quart
-        for row, e_val in zip(rows, energy_now):
-            histories[row].append(float(e_val))
         done = np.abs(mu_now - mu_prev[rows]) <= tol * np.maximum(1.0, np.abs(mu_now))
         mu[rows] = mu_now
         energy[rows] = energy_now
@@ -442,8 +446,7 @@ def _relax_batch(params: RingParams, settings: SolverSettings, seeds: list) -> l
             rows = rows[keep]
             if rows.size == 0:
                 break
-            spec = spec[keep]
-            sub = sub[keep]
+            spec, sub, kin, half_kinetic = (a[keep] for a in (spec, sub, kin, half_kinetic))
     if rows.size:
         psi_final[rows] = sub  # hit max_iterations; reported unconverged
 
@@ -458,10 +461,47 @@ def _relax_batch(params: RingParams, settings: SolverSettings, seeds: list) -> l
                 winding=_winding_or_dominant(wavefunction),
                 iterations=int(iterations[i]),
                 converged=bool(converged[i]),
-                energy_history=np.asarray(histories[i]),
             )
         )
     return reports
+
+
+def _pick_ground(reports: list) -> GroundStateReport:
+    """Lowest-energy converged report; ties within 1e-6 go to the lower |winding|.
+
+    Falls back to the whole pool when nothing converged; the pick then
+    carries converged=False.
+    """
+    pool = [r for r in reports if r.converged] or reports
+    best_energy = min(r.energy_per_particle for r in pool)
+    ties = [r for r in pool if r.energy_per_particle <= best_energy + 1e-6]
+    return min(ties, key=lambda r: (abs(r.winding), r.winding))
+
+
+def global_grounds(points, settings: SolverSettings | None = None) -> list:
+    """global_ground at every point, relaxing all seeds of all points together.
+
+    All points must share one u_tilde; each brings its own eta.  Returns
+    one report per point, in order.  Unlike global_ground this never raises
+    ConvergenceError: a point at which no seed converged gets its best
+    attempt, with converged=False.  The points are relaxed in chunks of at
+    most 2**17 amplitudes per batch array (at least one point per chunk),
+    which bounds memory for long sweeps and large grids.
+    """
+    if settings is None:
+        settings = SolverSettings(noise_amplitude=1e-3)
+    points = list(points)
+    if len({p.u_tilde for p in points}) > 1:
+        raise ValueError("global_grounds needs the same u_tilde at every point")
+    seeds = len(SEED_SHIFTS)
+    per_chunk = max(1, _BATCH_AMPLITUDES // (seeds * settings.grid_size))
+    best = []
+    for start in range(0, len(points), per_chunk):
+        chunk = points[start : start + per_chunk]
+        pairs = [(p.eta, ground_winding(p).winding + shift) for p in chunk for shift in SEED_SHIFTS]
+        reports = _relax_batch(chunk[0].u_tilde, settings, pairs)
+        best.extend(_pick_ground(reports[i : i + seeds]) for i in range(0, len(reports), seeds))
+    return best
 
 
 def global_ground(params: RingParams, settings: SolverSettings | None = None) -> GroundStateReport:
@@ -475,18 +515,10 @@ def global_ground(params: RingParams, settings: SolverSettings | None = None) ->
     sectors.  Raises ConvergenceError (carrying the best attempt) only when
     every seed fails to converge.
     """
-    if settings is None:
-        settings = SolverSettings(noise_amplitude=1e-3)
-    center = ground_winding(params).winding
-    reports = _relax_batch(params, settings, [center + shift for shift in range(-2, 3)])
-    converged = [r for r in reports if r.converged]
-    pool = converged if converged else reports
-    best_energy = min(r.energy_per_particle for r in pool)
-    ties = [r for r in pool if r.energy_per_particle <= best_energy + 1e-6]
-    best = min(ties, key=lambda r: (abs(r.winding), r.winding))
-    if not converged:
+    best = global_grounds([params], settings)[0]
+    if not best.converged:
         raise ConvergenceError(
-            f"no seed converged within {settings.max_iterations} iterations "
+            f"no seed converged within {best.iterations} iterations "
             f"(eta={params.eta}, u_tilde={params.u_tilde})",
             best_report=best,
         )

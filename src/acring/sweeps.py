@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 
 from .reduction import RingParams
-from .ring import barrier, ground_winding, mu_mixed, MixedState
-from .solver import ConvergenceError, SolverSettings, global_ground
+from .ring import TWO_PI, MixedState, barrier, ground_winding, mu_mixed
+from .solver import SolverSettings, global_grounds
+from .solver import global_ground  # noqa: F401  (perfbench/tracing.py wraps acring.sweeps.global_ground)
 
 __all__ = [
     "StaircaseSpec",
@@ -36,11 +37,10 @@ __all__ = [
     "hysteresis",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 GRID_DECIMALS = 12  # sweep abscissae snap to this many decimals so that
 #                     decimal ranges land on exact binary representatives
 #                     (0.05 * 10 -> 0.5 exactly, not 0.5000000000000001)
+MAX_GRID_POINTS = 10**7  # larger grids are rejected before any list is built
 
 
 def eta_grid(start: float, stop: float, step: float) -> list[float]:
@@ -49,7 +49,10 @@ def eta_grid(start: float, stop: float, step: float) -> list[float]:
         raise ValueError("step must be > 0")
     if stop < start:
         raise ValueError("stop must be >= start")
-    count = int(math.floor((stop - start) / step + 0.5))
+    span = (stop - start) / step + 0.5
+    if not span < MAX_GRID_POINTS:  # also catches inf and nan
+        raise ValueError(f"grid would exceed {MAX_GRID_POINTS} points; increase the step")
+    count = int(math.floor(span))
     return [round(start + i * step, GRID_DECIMALS) for i in range(count + 1)]
 
 
@@ -129,26 +132,23 @@ class LandscapeResult:
 def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> list[SweepRecord]:
     """Sweep eta and record the ground winding plus the thermal average.
 
-    Numeric-mode non-convergence at a point does not abort the sweep: the
-    best attempt is recorded with converged=False.  Records come out in eta
-    order regardless of evaluation order.
+    Numeric mode relaxes every point of the grid in one multi-point search
+    (global_grounds, in bounded chunks).  Non-convergence at a point does
+    not abort the sweep: the best attempt is recorded with converged=False.
+    Records come out in eta order.
     """
-    if spec.mode == "numeric" and settings is None:
-        settings = SolverSettings(noise_amplitude=1e-3)
     w = spec.condensate_weight
+    grid = eta_grid(spec.eta_start, spec.eta_stop, spec.eta_step)
+    if spec.mode == "numeric":
+        numeric = global_grounds([RingParams(eta=eta, u_tilde=spec.u_tilde) for eta in grid], settings)
     records = []
-    for eta in eta_grid(spec.eta_start, spec.eta_stop, spec.eta_step):
-        params = RingParams(eta=eta, u_tilde=spec.u_tilde)
-        analytic = ground_winding(params)
+    for i, eta in enumerate(grid):
+        analytic = ground_winding(RingParams(eta=eta, u_tilde=spec.u_tilde))
         if spec.mode == "analytic":
             winding, mu_eff, converged = analytic.winding, analytic.mu_eff, True
         else:
-            try:
-                report = global_ground(params, settings)
-                winding, mu_eff, converged = report.winding, report.mu, True
-            except ConvergenceError as err:
-                report = err.best_report
-                winding, mu_eff, converged = report.winding, report.mu, False
+            report = numeric[i]
+            winding, mu_eff, converged = report.winding, report.mu, report.converged
         records.append(
             SweepRecord(
                 eta=eta,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -140,6 +141,15 @@ class TestSolve:
         header, rows = read_csv(out)
         assert dict(zip(header, rows[0]))["converged"] == "false"
 
+    def test_divergence_exits_4_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--eta", "0.3", "--u-tilde", "1e7", "--global", "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
+
 
 class TestStaircaseCommand:
     def test_csv_schema_and_row_count(self, tmp_path):
@@ -175,6 +185,18 @@ class TestStaircaseCommand:
         assert len(payload["rows"]) == 3
         assert payload["rows"][0]["winding_T0"] == 0
 
+    def test_numeric_divergence_exits_4_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "st.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["staircase", "--eta=0:0.5:0.25", "--u-tilde", "1e7", "--mode", "numeric",
+                 "--output", str(out)]
+            )
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
+
 
 class TestLandscapeCommand:
     def test_grid_and_peaks(self, tmp_path):
@@ -192,6 +214,15 @@ class TestLandscapeCommand:
         header, rows = read_csv(peaks_out)
         assert header[0:2] == ["eta", "x_peak"]
         assert float(rows[0][2]) == pytest.approx(3.25, abs=1e-12)
+
+    def test_hostile_grid_rejected_up_front(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        code = main(
+            ["landscape", "--eta", "0.5", "--u-tilde", "1", "--x-step", "1e-9", "--output", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: validation:")
+        assert not out.exists()
 
 
 class TestHysteresisCommand:

@@ -9,11 +9,13 @@ import pytest
 from acring.reduction import RingParams
 from acring.ring import ground_winding, mu_uniform
 from acring.solver import (
+    ConvergenceError,
     RingWavefunction,
     SolverSettings,
     apply_hamiltonian,
     dump_wavefunction,
     global_ground,
+    global_grounds,
     imaginary_time_step,
     mode_numbers,
     observables,
@@ -164,14 +166,30 @@ class TestGlobalGround:
         assert global_ground(params(eta)).winding == ground_winding(params(eta)).winding
 
     def test_batch_rows_match_standalone_relax(self):
+        # rows at two different eta share one batch; each must follow the
+        # independent single-row kernel of relax
         settings = SolverSettings(noise_amplitude=1e-3)
-        p = params(0.3)
-        batch = _relax_batch(p, settings, [0, 1])
-        for seed, report in zip([0, 1], batch):
-            single = relax(p, replace(settings, seed_winding=seed))
+        rows = [(0.3, 0), (0.3, 1), (1.7, 2), (1.7, 1)]
+        batch = _relax_batch(params(0.0).u_tilde, settings, rows)
+        for (eta, seed), report in zip(rows, batch):
+            single = relax(params(eta), replace(settings, seed_winding=seed))
             assert report.converged == single.converged
             assert report.winding == single.winding
             assert report.mu == pytest.approx(single.mu, rel=1e-10, abs=1e-12)
+            assert report.energy_history.size == 0  # only relax records a history
+
+    def test_unconverged_point_reported_not_raised(self):
+        starved = SolverSettings(noise_amplitude=1e-3, max_iterations=3)
+        (report,) = global_grounds([params(0.3)], starved)
+        assert not report.converged
+        assert report.iterations == 3
+        with pytest.raises(ConvergenceError) as err:
+            global_ground(params(0.3), starved)
+        assert err.value.best_report.winding == report.winding
+        assert "within 3 iterations" in str(err.value)
+        assert global_grounds([], starved) == []
+        with pytest.raises(ValueError, match="u_tilde"):
+            global_grounds([params(0.3, 1.0), params(0.3, 2.0)])
 
 
 class TestFlowProperties:

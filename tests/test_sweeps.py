@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from acring.solver import SolverSettings
+from acring import solver, sweeps
+from acring.reduction import RingParams
+from acring.solver import SolverSettings, global_ground
 from acring.sweeps import (
     HysteresisRecord,
     StaircaseSpec,
@@ -37,6 +39,10 @@ class TestEtaGrid:
             eta_grid(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             eta_grid(1.0, 0.0, 0.1)
+        with pytest.raises(ValueError, match="points"):
+            eta_grid(0.0, 1.0, 1e-9)  # rejected before 10^9 points are built
+        with pytest.raises(ValueError, match="points"):
+            eta_grid(0.0, 1.0, 1e-320)  # (stop - start) / step overflows to inf
 
 
 class TestStaircaseAnalytic:
@@ -100,6 +106,55 @@ class TestStaircaseNumeric:
             assert n.converged
             assert n.winding_T0 == a.winding_T0
             assert n.mu_eff == pytest.approx(a.mu_eff, rel=1e-6)
+
+    # negative eta at an exact half-integer, a point off the steps, and a
+    # near tie 1e-7 above a half-integer
+    BATCHED_SPEC = StaircaseSpec(-0.5, 0.5000001, 0.50000005, u_tilde=2 * TWO_PI, mode="numeric")
+
+    @pytest.fixture(scope="class")
+    def per_point(self):
+        etas = eta_grid(-0.5, 0.5000001, 0.50000005)
+        assert etas == [-0.5, 5e-08, 0.5000001]
+        return [global_ground(RingParams(eta=eta, u_tilde=2 * TWO_PI)) for eta in etas]
+
+    def _batched_sweep(self, monkeypatch):
+        batches = []
+        relax_batch = solver._relax_batch
+
+        def spy(u_tilde, settings, seeds):
+            batches.append(len(seeds))
+            return relax_batch(u_tilde, settings, seeds)
+
+        reports = []
+
+        def grounds(points, settings=None):
+            reports.extend(solver.global_grounds(points, settings))
+            return reports
+
+        monkeypatch.setattr(solver, "_relax_batch", spy)
+        monkeypatch.setattr(sweeps, "global_grounds", grounds)
+        return staircase(self.BATCHED_SPEC), reports, batches
+
+    def _assert_matches(self, records, reports, per_point):
+        assert len(records) == len(reports) == len(per_point) == 3
+        for record, report, single in zip(records, reports, per_point):
+            assert record.winding_T0 == report.winding == single.winding
+            assert record.mu_eff == report.mu
+            assert report.mu == pytest.approx(single.mu, rel=1e-12)
+            assert report.iterations == single.iterations
+            assert record.converged == report.converged == single.converged
+
+    def test_batched_sweep_matches_per_point_search(self, per_point, monkeypatch):
+        records, reports, batches = self._batched_sweep(monkeypatch)
+        assert batches == [15]  # all seeds of all points in one batch
+        self._assert_matches(records, reports, per_point)
+
+    def test_chunked_sweep_matches_per_point_search(self, per_point, monkeypatch):
+        # room for two points (5 seed rows each) per batch: chunks of 2 + 1
+        monkeypatch.setattr(solver, "_BATCH_AMPLITUDES", 2 * 5 * 256 + 1)
+        records, reports, batches = self._batched_sweep(monkeypatch)
+        assert batches == [10, 5]
+        self._assert_matches(records, reports, per_point)
 
     def test_nonconvergence_flagged_but_sweep_continues(self):
         starved = SolverSettings(noise_amplitude=1e-3, max_iterations=3)
