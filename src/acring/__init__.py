@@ -13,7 +13,6 @@ from .ring import (
     BarrierInfo,
     GroundWindingResult,
     MixedState,
-    PlaneWaveState,
     barrier,
     ground_winding,
     mu_mixed,
@@ -57,7 +56,6 @@ __all__ = [
     "BarrierInfo",
     "GroundWindingResult",
     "MixedState",
-    "PlaneWaveState",
     "barrier",
     "ground_winding",
     "mu_mixed",

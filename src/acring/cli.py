@@ -117,11 +117,21 @@ def _parse_range(text: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
+class _GridRejected(Exception):
+    """A well-formed range that eta_grid refuses: validation (exit 3), not usage.
+
+    argparse would report a ValueError from a type callback as usage (exit 2).
+    """
+
+
 def _parse_values(text: str) -> list:
     """Scalar, comma list, or start:stop:step range -> list of floats."""
     if ":" in text:
         start, stop, step = _parse_range(text)
-        return eta_grid(start, stop, step)
+        try:
+            return eta_grid(start, stop, step)
+        except ValueError as err:
+            raise _GridRejected(str(err)) from None
     if "," in text:
         return [float(p) for p in text.split(",") if p.strip()]
     return [float(text)]
@@ -372,7 +382,9 @@ def _add_interaction_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--grid-size", type=int, default=None, help="grid points, power of two >= 64 (default 256)")
+    sp.add_argument(
+        "--grid-size", type=int, default=None, help="grid points, power of two from 64 to 65536 (default 256)"
+    )
     sp.add_argument("--tau-step", type=float, default=None, help="imaginary-time step (default 1e-3)")
     sp.add_argument(
         "--solver-tolerance",
@@ -556,7 +568,11 @@ def main(argv=None) -> int:
         print(f"error: validation: {err}", file=sys.stderr)
         return 3
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _GridRejected as err:
+        print(f"error: validation: {err}", file=sys.stderr)
+        return 3
     reserved = {"subcommand", "output", "format", "config"}
     parameters = {k: v for k, v in vars(args).items() if k not in reserved}
     config = RunConfig(

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .reduction import RingParams
 
 __all__ = [
-    "PlaneWaveState",
     "MixedState",
     "GroundWindingResult",
     "BarrierInfo",
@@ -34,13 +33,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class PlaneWaveState:
-    """Uniform ring state exp(i m phi) with integer winding m."""
-
-    winding: int
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ preparator (noise-free seed, stays in its winding sector) and as a global
 ground-state search (small seeded noise lets the state slide between
 sectors).
 
+One function, _strang_step, performs that step for relax,
+imaginary_time_step and the batched search alike.  It carries the
+normalized spectrum from one step to the next, so a step costs 3
+transforms.  Only relax records the per-step energy history.
+
 Mode index convention: numpy transform order, indices above G/2 - 1 wrap to
 negative k (exactly numpy.fft.fftfreq(G, 1/G)).  This matters because
 (k - eta)^2 is not symmetric in k.
@@ -43,18 +48,18 @@ __all__ = [
     "winding_number",
     "global_ground",
     "global_grounds",
-    "observables",
     "dump_wavefunction",
 ]
 
 NODE_FLOOR = 1e-10  # fraction of max |psi| below which winding is undefined
 SEED_SHIFTS = range(-2, 3)  # global search seeds, relative to the analytic winding
 _BATCH_AMPLITUDES = 2**17  # cap on rows * grid_size in one batched relaxation
+MAX_GRID_SIZE = 2**16  # larger grids are rejected before anything is allocated
 
 
 def _check_grid_size(grid_size: int) -> None:
-    if grid_size < 64 or grid_size & (grid_size - 1) != 0:
-        raise ValueError("grid_size must be a power of two >= 64")
+    if not 64 <= grid_size <= MAX_GRID_SIZE or grid_size & (grid_size - 1) != 0:
+        raise ValueError(f"grid_size must be a power of two between 64 and {MAX_GRID_SIZE}")
 
 
 def phi_grid(grid_size: int) -> np.ndarray:
@@ -226,85 +231,75 @@ def apply_hamiltonian(psi: RingWavefunction, params: RingParams) -> RingWavefunc
     return RingWavefunction(kinetic + params.u_tilde * (a.real**2 + a.imag**2) * a)
 
 
-def observables(psi: RingWavefunction, params: RingParams, potential=None) -> tuple[float, float]:
-    """Chemical potential and energy per particle of a normalized state.
-
-    mu = int |(d/dphi - i eta) psi|^2 + V |psi|^2 + u |psi|^4 dphi
-    E  = same with u/2 on the quartic term.
-    The gauge-kinetic integral is evaluated spectrally, the rest by the
-    (exact) uniform-grid quadrature.
-    """
-    g = psi.grid_size
-    a = psi.amplitudes
-    dphi = TWO_PI / g
-    k = mode_numbers(g)
-    spec = np.fft.fft(a)
-    kinetic = float(((k - params.eta) ** 2 * (spec.real**2 + spec.imag**2)).sum()) * dphi / g
-    dens = a.real**2 + a.imag**2
-    quart = float((dens * dens).sum()) * dphi
-    v = _as_potential(potential, g)
-    pot = float((v * dens).sum()) * dphi if v is not None else 0.0
-    mu = kinetic + pot + params.u_tilde * quart
-    energy = kinetic + pot + 0.5 * params.u_tilde * quart
-    return mu, energy
-
-
 def imaginary_time_step(
     psi: RingWavefunction, params: RingParams, tau_step: float, potential=None
 ) -> tuple[RingWavefunction, float, float]:
     """One normalized Strang step; returns (new state, mu, energy).
 
-    Convenience wrapper over the same kernel relax uses; intended for
+    Convenience wrapper over the same step relax uses; intended for
     step-by-step inspection, not for long runs (relax precomputes the
-    multipliers once).
+    multipliers once and carries the spectrum between steps).
     """
     if tau_step <= 0:
         raise ValueError("tau_step must be > 0")
     v = _as_potential(potential, psi.grid_size)
-    kernel = _make_kernel(psi.grid_size, params, tau_step, v)
-    new_amps, mu, energy = kernel(psi.amplitudes.copy())
-    return RingWavefunction(new_amps), mu, energy
+    kin, half_kinetic = _kinetic(psi.grid_size, params.eta, tau_step)
+    spec = np.fft.fft(psi.amplitudes)
+    _, new, mu, energy = _strang_step(spec, kin, half_kinetic, params.u_tilde, tau_step, v)
+    return RingWavefunction(new), float(mu), float(energy)
 
 
-def _make_kernel(grid_size: int, params: RingParams, tau_step: float, v: np.ndarray | None):
-    """Build the per-step closure: Strang step + renormalize + observables."""
-    g = grid_size
+def _kinetic(grid_size: int, eta, tau_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kinetic multipliers (k - eta)^2 and exp(-tau/2 * that); a list of eta gives one row each."""
+    kin = (mode_numbers(grid_size) - np.asarray(eta, dtype=np.float64)[..., None]) ** 2
+    return kin, np.exp(-0.5 * tau_step * kin)
+
+
+def _strang_step(spec, kin, half_kinetic, u: float, tau: float, v: np.ndarray | None = None):
+    """One normalized Strang step of a (rows, G) stack of unit spectra.
+
+    Half kinetic / full interaction (plus the optional potential v, shape
+    (G,), shared by all rows) / half kinetic, then renormalization.  Rows
+    never couple; each carries its own eta through its row of kin and
+    half_kinetic.  spec is overwritten.  Returns (spec, psi, mu, energy):
+    the renormalized spectrum, which the next step takes as input so that a
+    step costs 3 transforms, the real-space rows, and per-row mu and energy
+    per particle of that state.  A single (G,) row is stepped as such, with
+    scalar mu and energy: relax does that, because a (1, G) stack costs
+    about a fifth more per step in numpy call overhead.
+    """
+    g = spec.shape[-1]
     dphi = TWO_PI / g
     inv_g2 = dphi / g
-    kin = (mode_numbers(g) - params.eta) ** 2
-    half_kinetic = np.exp(-0.5 * tau_step * kin)
-    u = params.u_tilde
-    fft, ifft = np.fft.fft, np.fft.ifft
-
-    def step(psi: np.ndarray) -> tuple[np.ndarray, float, float]:
-        spec = fft(psi)
-        spec *= half_kinetic
-        psi = ifft(spec)
-        dens = psi.real**2 + psi.imag**2
-        expo = u * dens if v is None else u * dens + v
-        expo -= expo.mean()  # uniform factor is gauge for the renormalized flow
-        psi *= np.exp(-tau_step * expo)
-        spec = fft(psi)
-        spec *= half_kinetic
-        spec2 = spec.real**2 + spec.imag**2
-        norm2 = inv_g2 * float(spec2.sum())
-        if not (math.isfinite(norm2) and norm2 > 0):
-            raise ArithmeticError(
-                "imaginary-time step diverged; reduce tau_step (tau_step * u_tilde too large)"
-            )
-        kinetic = inv_g2 * float((kin * spec2).sum()) / norm2
-        psi = ifft(spec)
-        psi *= 1.0 / math.sqrt(norm2)
-        dens = psi.real**2 + psi.imag**2
-        quart = dphi * float((dens * dens).sum())
-        pot = dphi * float((v * dens).sum()) if v is not None else 0.0
-        mu = kinetic + pot + u * quart
-        energy = kinetic + pot + 0.5 * u * quart
-        return psi, mu, energy
-
-    return step
+    spec *= half_kinetic
+    psi = np.fft.ifft(spec)
+    dens = psi.real**2 + psi.imag**2
+    expo = u * dens
+    if v is not None:
+        expo += v
+    expo -= expo.sum(axis=-1, keepdims=True) / g  # uniform factor is gauge for the renormalized flow
+    expo *= -tau
+    np.exp(expo, out=expo)
+    psi *= expo
+    spec = np.fft.fft(psi)
+    spec *= half_kinetic
+    spec2 = spec.real**2 + spec.imag**2
+    norm2 = inv_g2 * spec2.sum(axis=-1)
+    if not 0.0 < norm2.min() <= norm2.max() < math.inf:  # also false for nan
+        raise ArithmeticError(
+            "imaginary-time step diverged; reduce tau_step (tau_step * u_tilde too large)"
+        )
+    kinetic = inv_g2 * np.einsum("...j,...j->...", spec2, kin) / norm2
+    spec *= (1.0 / np.sqrt(norm2))[..., None]
+    psi = np.fft.ifft(spec)
+    dens = psi.real**2 + psi.imag**2
+    quart = dphi * np.einsum("...j,...j->...", dens, dens)
+    if v is not None:
+        kinetic = kinetic + dphi * (dens @ v)
+    return spec, psi, kinetic + u * quart, kinetic + 0.5 * u * quart
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging step raises from the norm check
 def relax(params: RingParams, settings: SolverSettings, potential=None) -> GroundStateReport:
     """Relax to the lowest state reachable from the seed.
 
@@ -315,30 +310,20 @@ def relax(params: RingParams, settings: SolverSettings, potential=None) -> Groun
     pointwise; default is the azimuthally symmetric case V = 0.
     """
     v = _as_potential(potential, settings.grid_size)
-    kernel = _make_kernel(settings.grid_size, params, settings.tau_step, v)
-    psi = _seed_state(settings)
+    kin, half_kinetic = _kinetic(settings.grid_size, params.eta, settings.tau_step)
+    spec = np.fft.fft(_seed_state(settings))
     mu_prev = math.inf
-    mu = math.inf
     energies: list[float] = []
     converged = False
-    iterations = 0
     for iterations in range(1, settings.max_iterations + 1):
-        psi, mu, energy = kernel(psi)
-        energies.append(energy)
+        spec, psi, mu, energy = _strang_step(spec, kin, half_kinetic, params.u_tilde, settings.tau_step, v)
+        mu = float(mu)
+        energies.append(float(energy))
         if abs(mu - mu_prev) <= settings.tolerance * max(1.0, abs(mu)):
             converged = True
             break
         mu_prev = mu
-    wavefunction = RingWavefunction(psi)
-    return GroundStateReport(
-        wavefunction=wavefunction,
-        mu=mu,
-        energy_per_particle=energies[-1],
-        winding=_winding_or_dominant(wavefunction),
-        iterations=iterations,
-        converged=converged,
-        energy_history=np.asarray(energies),
-    )
+    return _report(psi, mu, energies[-1], iterations, converged, energies)
 
 
 def winding_number(psi: RingWavefunction) -> int:
@@ -374,70 +359,50 @@ def _winding_or_dominant(psi: RingWavefunction) -> int:
         return int(k[int(np.argmax(spec.real**2 + spec.imag**2))])
 
 
-# overflow on the way to a divergence is caught by the norm check
-@np.errstate(over="ignore", invalid="ignore")
+def _report(psi: np.ndarray, mu, energy, iterations, converged, history=()) -> GroundStateReport:
+    """Report for one relaxed row; the winding is read off the final state."""
+    wavefunction = RingWavefunction(psi)
+    return GroundStateReport(
+        wavefunction=wavefunction,
+        mu=float(mu),
+        energy_per_particle=float(energy),
+        winding=_winding_or_dominant(wavefunction),
+        iterations=int(iterations),
+        converged=bool(converged),
+        energy_history=np.asarray(history, dtype=np.float64),
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a diverging step raises from the norm check
 def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
     """Relax (eta, seed winding) pairs side by side (one report per pair).
 
-    Same Strang step as relax, applied to a (rows, G) stack in which every
+    The Strang step of relax, applied to a (rows, G) stack in which every
     row carries its own eta (kinetic multipliers), with rows frozen as they
     converge; rows never couple, so each report matches a standalone relax
     of that pair up to summation-order roundoff.  Batching exists because
     the FFT cost at these grid sizes is call-overhead dominated.  No energy
     history is recorded.
     """
-    g = settings.grid_size
-    dphi = TWO_PI / g
-    inv_g2 = dphi / g
-    tau = settings.tau_step
     tol = settings.tolerance
-    fft, ifft = np.fft.fft, np.fft.ifft
-
     batch = len(seeds)
-    kin = (mode_numbers(g) - np.array([[eta] for eta, _ in seeds])) ** 2
-    half_kinetic = np.exp(-0.5 * tau * kin)
-    u = u_tilde
-    psi_final = np.zeros((batch, g), dtype=np.complex128)
+    kin, half_kinetic = _kinetic(settings.grid_size, [eta for eta, _ in seeds], settings.tau_step)
+    psi_final = np.zeros((batch, settings.grid_size), dtype=np.complex128)
     mu = np.full(batch, math.inf)
-    mu_prev = np.full(batch, math.inf)
     energy = np.full(batch, math.inf)
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
 
-    # working set: rows compress away as they converge, carrying the
-    # normalized spectrum across steps so each step needs 3 transforms
+    # working set: rows compress away as they converge
     rows = np.arange(batch)
-    spec = fft(np.stack([_seed_state(replace(settings, seed_winding=seed)) for _, seed in seeds]))
+    spec = np.fft.fft(np.stack([_seed_state(replace(settings, seed_winding=seed)) for _, seed in seeds]))
 
     for it in range(1, settings.max_iterations + 1):
-        spec *= half_kinetic
-        sub = ifft(spec)
-        dens = sub.real**2 + sub.imag**2
-        expo = u * dens
-        expo -= expo.mean(axis=-1, keepdims=True)
-        expo *= -tau
-        np.exp(expo, out=expo)
-        sub *= expo
-        spec = fft(sub)
-        spec *= half_kinetic
-        spec2 = spec.real**2 + spec.imag**2
-        norm2 = inv_g2 * spec2.sum(axis=-1)
-        if not np.all(np.isfinite(norm2) & (norm2 > 0)):
-            raise ArithmeticError(
-                "imaginary-time step diverged; reduce tau_step (tau_step * u_tilde too large)"
-            )
-        kinetic = inv_g2 * np.einsum("ij,ij->i", spec2, kin) / norm2
-        spec *= (1.0 / np.sqrt(norm2))[:, None]
-        sub = ifft(spec)
-        dens = sub.real**2 + sub.imag**2
-        quart = dphi * np.einsum("ij,ij->i", dens, dens)
-        mu_now = kinetic + u * quart
-        energy_now = kinetic + 0.5 * u * quart
-        done = np.abs(mu_now - mu_prev[rows]) <= tol * np.maximum(1.0, np.abs(mu_now))
+        spec, sub, mu_now, energy_now = _strang_step(spec, kin, half_kinetic, u_tilde, settings.tau_step)
+        done = np.abs(mu_now - mu[rows]) <= tol * np.maximum(1.0, np.abs(mu_now))
         mu[rows] = mu_now
         energy[rows] = energy_now
         iterations[rows] = it
-        mu_prev[rows] = mu_now
         if done.any():
             finished = done.nonzero()[0]
             psi_final[rows[finished]] = sub[finished]
@@ -450,20 +415,7 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
     if rows.size:
         psi_final[rows] = sub  # hit max_iterations; reported unconverged
 
-    reports = []
-    for i in range(batch):
-        wavefunction = RingWavefunction(psi_final[i])
-        reports.append(
-            GroundStateReport(
-                wavefunction=wavefunction,
-                mu=float(mu[i]),
-                energy_per_particle=float(energy[i]),
-                winding=_winding_or_dominant(wavefunction),
-                iterations=int(iterations[i]),
-                converged=bool(converged[i]),
-            )
-        )
-    return reports
+    return [_report(psi_final[i], mu[i], energy[i], iterations[i], converged[i]) for i in range(batch)]
 
 
 def _pick_ground(reports: list) -> GroundStateReport:

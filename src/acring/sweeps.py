@@ -43,8 +43,8 @@ GRID_DECIMALS = 12  # sweep abscissae snap to this many decimals so that
 MAX_GRID_POINTS = 10**7  # larger grids are rejected before any list is built
 
 
-def eta_grid(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive grid from start to stop; endpoint within half-step tolerance."""
+def _grid_count(start: float, stop: float, step: float) -> int:
+    """Number of points of eta_grid(start, stop, step), validated without building it."""
     if step <= 0:
         raise ValueError("step must be > 0")
     if stop < start:
@@ -52,8 +52,12 @@ def eta_grid(start: float, stop: float, step: float) -> list[float]:
     span = (stop - start) / step + 0.5
     if not span < MAX_GRID_POINTS:  # also catches inf and nan
         raise ValueError(f"grid would exceed {MAX_GRID_POINTS} points; increase the step")
-    count = int(math.floor(span))
-    return [round(start + i * step, GRID_DECIMALS) for i in range(count + 1)]
+    return int(math.floor(span)) + 1
+
+
+def eta_grid(start: float, stop: float, step: float) -> list[float]:
+    """Inclusive grid from start to stop; endpoint within half-step tolerance."""
+    return [round(start + i * step, GRID_DECIMALS) for i in range(_grid_count(start, stop, step))]
 
 
 @dataclass(frozen=True)
@@ -168,12 +172,18 @@ def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeRes
 
     Tabulates mu_mixed over x in [0, 1] for the winding pair (m, m+1); for
     every eta whose barrier peak lies strictly inside (0, 1) a LandscapePeak
-    records its location, value, and the climb from either endpoint.
+    records its location, value, and the climb from either endpoint.  More
+    than MAX_GRID_POINTS points in all are rejected before any is computed.
     """
     if x_step <= 0:
         raise ValueError("x_step must be > 0")
     if u_tilde <= 0:
         raise ValueError("landscape requires u_tilde > 0")
+    eta_values = list(eta_values)
+    if len(eta_values) * _grid_count(0.0, 1.0, x_step) > MAX_GRID_POINTS:
+        raise ValueError(
+            f"landscape would exceed {MAX_GRID_POINTS} points (eta values x mixing steps); increase a step"
+        )
     xs = eta_grid(0.0, 1.0, x_step)
     points = []
     peaks = []

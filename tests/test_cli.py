@@ -150,6 +150,28 @@ class TestSolve:
         assert code == 4
         assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
 
+    def test_seeded_divergence_exits_4_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["solve", "--eta", "0.3", "--u-tilde", "1e7", "--noise-amplitude", "1e-3",
+                 "--output", str(out)]
+            )
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
+
+    def test_hostile_grid_size_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(
+            ["solve", "--eta", "0.3", "--u-tilde", "1", "--grid-size", "1073741824", "--output", str(out)]
+        )
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: validation: grid_size")
+        assert not out.exists()
+
 
 class TestStaircaseCommand:
     def test_csv_schema_and_row_count(self, tmp_path):
@@ -224,6 +246,27 @@ class TestLandscapeCommand:
         assert capsys.readouterr().err.startswith("error: validation:")
         assert not out.exists()
 
+    def test_hostile_eta_range_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        code = main(
+            ["landscape", "--eta", "0:1:1e-9", "--u-tilde", "1", "--x-step", "0.5", "--output", str(out)]
+        )
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err_lines == ["error: validation: grid would exceed 10000000 points; increase the step"]
+        assert not out.exists()
+
+    def test_joint_grid_cap_exits_3(self, tmp_path, capsys):
+        # 1001 eta values x 100001 mixing steps: each grid is fine, the product is not
+        out = tmp_path / "l.csv"
+        code = main(
+            ["landscape", "--eta", "0:1:1e-3", "--u-tilde", "1", "--x-step", "1e-5", "--output", str(out)]
+        )
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: validation: landscape would exceed")
+        assert not out.exists()
+
 
 class TestHysteresisCommand:
     def test_loop_walk(self, tmp_path):
@@ -243,6 +286,14 @@ class TestHysteresisCommand:
         # barrier column empty exactly where the walk slid
         slid = [r for r in rows if r[3] == ""]
         assert slid
+
+    def test_hostile_eta_range_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        code = main(["hysteresis", "--eta", "0:1:1e-9", "--u-tilde", "1", "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err_lines == ["error: validation: grid would exceed 10000000 points; increase the step"]
+        assert not out.exists()
 
 
 class TestConfigAndEnvironment:

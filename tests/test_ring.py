@@ -8,7 +8,6 @@ import pytest
 from acring.reduction import RingParams
 from acring.ring import (
     MixedState,
-    PlaneWaveState,
     barrier,
     ground_winding,
     mu_mixed,
@@ -40,8 +39,7 @@ class TestMuUniform:
         assert mu_total(mu_uniform(0, p), p) == pytest.approx(1.5)
 
     def test_plane_wave_state_carries_winding(self):
-        state = PlaneWaveState(winding=-2)
-        assert mu_uniform(state.winding, params(0.5)) == pytest.approx(8.25, abs=1e-13)
+        assert mu_uniform(-2, params(0.5)) == pytest.approx(8.25, abs=1e-13)
 
 
 class TestGroundWinding:

@@ -18,7 +18,6 @@ from acring.solver import (
     global_grounds,
     imaginary_time_step,
     mode_numbers,
-    observables,
     phi_grid,
     relax,
     winding_number,
@@ -111,7 +110,8 @@ class TestRelax:
         image = apply_hamiltonian(psi, p).amplitudes + v * psi.amplitudes
         residual = np.max(np.abs(image - report.mu * psi.amplitudes))
         assert residual < 1e-5
-        mu_check, _ = observables(psi, p, potential=v)
+        # Rayleigh quotient <psi|(H + V) psi>, from the independent apply_hamiltonian
+        mu_check = (np.vdot(psi.amplitudes, image) * TWO_PI / g).real
         assert report.mu == pytest.approx(mu_check, rel=1e-10)
 
     def test_potential_shape_validated(self):
@@ -166,8 +166,9 @@ class TestGlobalGround:
         assert global_ground(params(eta)).winding == ground_winding(params(eta)).winding
 
     def test_batch_rows_match_standalone_relax(self):
-        # rows at two different eta share one batch; each must follow the
-        # independent single-row kernel of relax
+        # rows at two different eta share one batch and converge at different
+        # steps; the row compression must leave each row on the trajectory
+        # relax gives it on its own (both step through one kernel)
         settings = SolverSettings(noise_amplitude=1e-3)
         rows = [(0.3, 0), (0.3, 1), (1.7, 2), (1.7, 1)]
         batch = _relax_batch(params(0.0).u_tilde, settings, rows)
@@ -177,6 +178,21 @@ class TestGlobalGround:
             assert report.winding == single.winding
             assert report.mu == pytest.approx(single.mu, rel=1e-10, abs=1e-12)
             assert report.energy_history.size == 0  # only relax records a history
+
+    def test_batch_rows_are_eigenstates(self):
+        # independent of the shared kernel: every converged row satisfies
+        # H psi = mu psi and sits on the closed-form plane-wave mu.  At the
+        # default tolerance the stall test stops these rows with a residual
+        # near 2e-4, so this runs to 1e-14.
+        settings = SolverSettings(noise_amplitude=1e-3, tolerance=1e-14)
+        rows = [(0.3, 0), (0.3, 1), (1.7, 2), (1.7, 1)]
+        batch = _relax_batch(params(0.0).u_tilde, settings, rows)
+        assert all(report.converged for report in batch)
+        for (eta, _), report in zip(rows, batch):
+            psi = report.wavefunction
+            image = apply_hamiltonian(psi, params(eta)).amplitudes
+            assert np.max(np.abs(image - report.mu * psi.amplitudes)) < 1e-5
+            assert report.mu == pytest.approx(mu_uniform(report.winding, params(eta)), rel=1e-9)
 
     def test_unconverged_point_reported_not_raised(self):
         starved = SolverSettings(noise_amplitude=1e-3, max_iterations=3)
@@ -251,6 +267,9 @@ class TestTypesAndSettings:
             SolverSettings(grid_size=100)
         with pytest.raises(ValueError):
             SolverSettings(grid_size=32)
+        with pytest.raises(ValueError, match="between 64 and 65536"):
+            SolverSettings(grid_size=2**30)  # a power of two, but above the cap
+        assert SolverSettings(grid_size=2**16).grid_size == 2**16
         with pytest.raises(ValueError):
             RingWavefunction(np.ones(48, dtype=complex))
 

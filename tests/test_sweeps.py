@@ -191,6 +191,18 @@ class TestLandscape:
         with pytest.raises(ValueError):
             landscape(0, [0.5], u_tilde=1.0, x_step=0.0)
 
+    def test_joint_cap_rejects_before_any_point(self, monkeypatch):
+        # 1001 eta values x 100001 mixing steps = 1e8 points, each grid alone allowed
+        def no_points(*args):
+            raise AssertionError("a landscape point was computed")
+
+        monkeypatch.setattr(sweeps, "mu_mixed", no_points)
+        etas = sweeps.eta_grid(0.0, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="landscape would exceed"):
+            landscape(0, etas, u_tilde=1.0, x_step=1e-5)
+        with pytest.raises(ValueError, match="landscape would exceed"):
+            landscape(0, iter(etas), u_tilde=1.0, x_step=1e-5)
+
 
 class TestHysteresis:
     def test_flip_points_for_small_interaction(self):
