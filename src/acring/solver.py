@@ -18,7 +18,14 @@ sectors).
 One function, _strang_step, performs that step for relax,
 imaginary_time_step and the batched search alike.  It carries the
 normalized spectrum from one step to the next, so a step costs 3
-transforms.  Only relax records the per-step energy history.
+transforms.  relax and imaginary_time_step follow the plain flow, whose
+energy never rises.  The batched search (global_ground, global_grounds)
+accelerates it with restarted momentum: each row steps from an
+extrapolation of its last two accepted states and falls back to a plain
+step whenever its energy would rise.  The fixed points are the same, but a
+seed that settles into a metastable sector, where the plain flow creeps
+along a soft mode for 10-20k steps, converges in hundreds to about a
+thousand.  Only relax records the per-step energy history.
 
 Mode index convention: numpy transform order, indices above G/2 - 1 wrap to
 negative k (exactly numpy.fft.fftfreq(G, 1/G)).  This matters because
@@ -128,7 +135,8 @@ class SolverSettings:
     grid_size: azimuthal points G, power of two >= 64
     tau_step: imaginary-time step
     tolerance: convergence when |mu_new - mu_old| per step falls below
-        tolerance * max(1, |mu|)
+        tolerance * max(1, |mu|); the batched search compares accepted
+        steps and asks the same of the energy per particle
     max_iterations: hard stop; hitting it reports converged=False
     seed_winding: initial state e^{i m0 phi}/sqrt(2 pi)
     noise_amplitude: per-mode complex Gaussian noise added to the seed,
@@ -164,9 +172,11 @@ class GroundStateReport:
     """Outcome of one relaxation run.
 
     mu and energy_per_particle are in ring units (offset excluded, same scale
-    as ring.mu_uniform).  energy_history holds the per-step energies of a
-    relax run, useful for monotonicity checks; the batched search
-    (global_ground, global_grounds) records none and leaves it empty.
+    as ring.mu_uniform).  iterations counts every kernel step taken,
+    including the steps the batched search discards on an energy rise.
+    energy_history holds the per-step energies of a relax run, useful for
+    monotonicity checks; the batched search (global_ground, global_grounds)
+    records none and leaves it empty.
     """
 
     wavefunction: RingWavefunction
@@ -231,6 +241,7 @@ def apply_hamiltonian(psi: RingWavefunction, params: RingParams) -> RingWavefunc
     return RingWavefunction(kinetic + params.u_tilde * (a.real**2 + a.imag**2) * a)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging step raises from the norm check
 def imaginary_time_step(
     psi: RingWavefunction, params: RingParams, tau_step: float, potential=None
 ) -> tuple[RingWavefunction, float, float]:
@@ -377,18 +388,36 @@ def _report(psi: np.ndarray, mu, energy, iterations, converged, history=()) -> G
 def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
     """Relax (eta, seed winding) pairs side by side (one report per pair).
 
-    The Strang step of relax, applied to a (rows, G) stack in which every
-    row carries its own eta (kinetic multipliers), with rows frozen as they
-    converge; rows never couple, so each report matches a standalone relax
-    of that pair up to summation-order roundoff.  Batching exists because
-    the FFT cost at these grid sizes is call-overhead dominated.  No energy
-    history is recorded.
+    A (rows, G) stack in which every row carries its own eta (kinetic
+    multipliers) descends by the Strang step of relax, accelerated with
+    restarted momentum (Nesterov extrapolation with adaptive restart,
+    O'Donoghue & Candes 2015).  With x_n the last accepted state of a row,
+    the step input is x_n + beta (x_n - x_{n-1}), renormalized, where
+    beta = (k - 1)/(k + 2) and k counts the row's accepted steps since its
+    last restart.  A step whose energy rises above the last accepted one is
+    discarded; the row restarts (k = 1, so beta = 0) and takes a plain
+    Strang step from x_n, which is always accepted.  A fixed point of the
+    Strang step is a fixed point of this iteration, so the answers are those
+    of the plain flow, reached in far fewer steps where a row creeps along
+    the soft mode of a metastable sector.
+
+    Convergence is the stall test of relax, taken between accepted steps:
+    mu moved by at most tolerance * max(1, |mu|).  The energy per particle
+    must have stalled by the same relative measure, because with momentum
+    mu (unlike the energy) passes through turning points on the way down,
+    and a stall test on mu alone can stop there, short of the answer.
+    iterations counts every step, discarded ones included.  Rows
+    are frozen as they converge and never couple, so a row's trajectory
+    does not depend on the other rows of its batch.  Batching exists
+    because the FFT cost at these grid sizes is call-overhead dominated.
+    No energy history is recorded.
     """
     tol = settings.tolerance
     batch = len(seeds)
+    inv_g2 = TWO_PI / settings.grid_size**2
     kin, half_kinetic = _kinetic(settings.grid_size, [eta for eta, _ in seeds], settings.tau_step)
     psi_final = np.zeros((batch, settings.grid_size), dtype=np.complex128)
-    mu = np.full(batch, math.inf)
+    mu = np.full(batch, math.inf)  # of the last accepted state
     energy = np.full(batch, math.inf)
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
@@ -396,13 +425,33 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
     # working set: rows compress away as they converge
     rows = np.arange(batch)
     spec = np.fft.fft(np.stack([_seed_state(replace(settings, seed_winding=seed)) for _, seed in seeds]))
+    prev = spec.copy()  # accepted state before spec
+    k = np.ones(batch)
 
     for it in range(1, settings.max_iterations + 1):
-        spec, sub, mu_now, energy_now = _strang_step(spec, kin, half_kinetic, u_tilde, settings.tau_step)
-        done = np.abs(mu_now - mu[rows]) <= tol * np.maximum(1.0, np.abs(mu_now))
-        mu[rows] = mu_now
-        energy[rows] = energy_now
+        # y = spec + beta (spec - prev), renormalized, built in prev's buffer
+        # (fresh arrays cost page faults); |y|^2 = 1 + (beta + beta^2) |d|^2
+        # for unit spec and prev, with d = spec - prev
+        beta = (k - 1.0) / (k + 2.0)
+        y = np.subtract(spec, prev, out=prev)
+        flat = y.view(np.float64)
+        scale = 1.0 / np.sqrt(1.0 + beta * (1.0 + beta) * inv_g2 * np.einsum("ij,ij->i", flat, flat))
+        y *= beta[:, None]
+        y += spec
+        y *= scale[:, None]
+        out, sub, mu_now, energy_now = _strang_step(y, kin, half_kinetic, u_tilde, settings.tau_step)
+        mu_acc, energy_acc = mu[rows], energy[rows]
+        rejected = (k > 1.0) & (energy_now > energy_acc)
+        accepted = ~rejected
+        done = accepted & (np.abs(mu_now - mu_acc) <= tol * np.maximum(1.0, np.abs(mu_now)))
+        done &= np.abs(energy_now - energy_acc) <= tol * np.maximum(1.0, np.abs(energy_now))
+        mu[rows] = np.where(accepted, mu_now, mu_acc)
+        energy[rows] = np.where(accepted, energy_now, energy_acc)
         iterations[rows] = it
+        k = np.where(accepted, k + 1.0, 1.0)
+        if rejected.any():
+            out[rejected] = spec[rejected]  # back to the last accepted state, with no momentum
+        prev, spec = spec, out
         if done.any():
             finished = done.nonzero()[0]
             psi_final[rows[finished]] = sub[finished]
@@ -411,9 +460,9 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
             rows = rows[keep]
             if rows.size == 0:
                 break
-            spec, sub, kin, half_kinetic = (a[keep] for a in (spec, sub, kin, half_kinetic))
+            spec, prev, k, kin, half_kinetic = (a[keep] for a in (spec, prev, k, kin, half_kinetic))
     if rows.size:
-        psi_final[rows] = sub  # hit max_iterations; reported unconverged
+        psi_final[rows] = np.fft.ifft(spec)  # hit max_iterations; last accepted state, reported unconverged
 
     return [_report(psi_final[i], mu[i], energy[i], iterations[i], converged[i]) for i in range(batch)]
 
@@ -421,13 +470,15 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
 def _pick_ground(reports: list) -> GroundStateReport:
     """Lowest-energy converged report; ties within 1e-6 go to the lower |winding|.
 
+    Among tied reports of that winding (seeds that relaxed into the same
+    sector) the lowest energy wins, i.e. the state nearest the fixed point.
     Falls back to the whole pool when nothing converged; the pick then
     carries converged=False.
     """
     pool = [r for r in reports if r.converged] or reports
     best_energy = min(r.energy_per_particle for r in pool)
     ties = [r for r in pool if r.energy_per_particle <= best_energy + 1e-6]
-    return min(ties, key=lambda r: (abs(r.winding), r.winding))
+    return min(ties, key=lambda r: (abs(r.winding), r.winding, r.energy_per_particle))
 
 
 def global_grounds(points, settings: SolverSettings | None = None) -> list:

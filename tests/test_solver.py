@@ -1,6 +1,7 @@
 """Imaginary-time solver: spectral exactness, relaxation, winding, search."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from acring.reduction import RingParams
 from acring.ring import ground_winding, mu_uniform
 from acring.solver import (
     ConvergenceError,
+    GroundStateReport,
     RingWavefunction,
     SolverSettings,
     apply_hamiltonian,
@@ -22,7 +24,7 @@ from acring.solver import (
     relax,
     winding_number,
 )
-from acring.solver import _relax_batch
+from acring.solver import _pick_ground, _relax_batch
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,17 +169,36 @@ class TestGlobalGround:
 
     def test_batch_rows_match_standalone_relax(self):
         # rows at two different eta share one batch and converge at different
-        # steps; the row compression must leave each row on the trajectory
-        # relax gives it on its own (both step through one kernel)
-        settings = SolverSettings(noise_amplitude=1e-3)
+        # steps.  The batch descends with restarted momentum and relax with
+        # the plain flow, so the two paths take different trajectories to
+        # the same fixed point; at tolerance 1e-14 both stop within about
+        # 1e-11 of it
+        settings = SolverSettings(noise_amplitude=1e-3, tolerance=1e-14)
         rows = [(0.3, 0), (0.3, 1), (1.7, 2), (1.7, 1)]
         batch = _relax_batch(params(0.0).u_tilde, settings, rows)
         for (eta, seed), report in zip(rows, batch):
             single = relax(params(eta), replace(settings, seed_winding=seed))
-            assert report.converged == single.converged
+            assert report.converged and single.converged
             assert report.winding == single.winding
             assert report.mu == pytest.approx(single.mu, rel=1e-10, abs=1e-12)
             assert report.energy_history.size == 0  # only relax records a history
+
+    def test_batch_row_does_not_depend_on_its_neighbours(self):
+        # a row's momentum, restarts and stopping step are its own: alone or
+        # inside a mixed batch (rows converging before and after it, other
+        # eta, other sectors) it gives the same bits
+        settings = SolverSettings(noise_amplitude=1e-3)
+        u = params(0.0).u_tilde
+        target = (0.3, 1)
+        others = [(-0.5, 0), (1.7, 2), (0.3, 0), (2.4, 4), (0.5000001, 1), (-1.2, -3)]
+        (alone,) = _relax_batch(u, settings, [target])
+        for position in (0, 3, len(others)):
+            mixed = _relax_batch(u, settings, others[:position] + [target] + others[position:])
+            report = mixed[position]
+            assert report.mu == alone.mu
+            assert report.energy_per_particle == alone.energy_per_particle
+            assert report.iterations == alone.iterations
+            np.testing.assert_array_equal(report.wavefunction.amplitudes, alone.wavefunction.amplitudes)
 
     def test_batch_rows_are_eigenstates(self):
         # independent of the shared kernel: every converged row satisfies
@@ -193,6 +214,26 @@ class TestGlobalGround:
             image = apply_hamiltonian(psi, params(eta)).amplitudes
             assert np.max(np.abs(image - report.mu * psi.amplitudes)) < 1e-5
             assert report.mu == pytest.approx(mu_uniform(report.winding, params(eta)), rel=1e-9)
+
+    def test_batch_rows_stop_at_the_fixed_point_not_at_a_turning_point(self):
+        # under momentum these rows pass a turning point of mu while their
+        # energy still falls; a stall test on mu alone stops them there,
+        # 2.5e-6 to 2.5e-5 above the closed form
+        rows = [(0.0, -2), (0.55, 2), (0.65, 2)]
+        batch = _relax_batch(params(0.0).u_tilde, SolverSettings(noise_amplitude=1e-3), rows)
+        for (eta, _), report in zip(rows, batch):
+            assert report.converged
+            assert abs(report.mu - mu_uniform(report.winding, params(eta))) < 1e-7
+
+    def test_pick_prefers_lowest_energy_within_a_tied_winding(self):
+        def report(winding, energy):
+            psi = RingWavefunction.plane_wave(winding, 64)
+            return GroundStateReport(psi, energy + 1.0, energy, winding, 10, True)
+
+        # two seeds relaxed into winding 0, the first stopped farther from the
+        # fixed point; winding 1 ties with both but loses on |winding|
+        pool = [report(0, 2.0 + 5e-7), report(1, 2.0 + 1e-7), report(0, 2.0)]
+        assert _pick_ground(pool) is pool[2]
 
     def test_unconverged_point_reported_not_raised(self):
         starved = SolverSettings(noise_amplitude=1e-3, max_iterations=3)
@@ -233,6 +274,15 @@ class TestFlowProperties:
         for _ in range(200):
             psi, _, _ = imaginary_time_step(psi, p, 5e-3)
             assert abs(psi.norm_squared() - 1.0) < 1e-12
+
+    def test_diverging_step_raises_without_warnings(self):
+        rng = np.random.default_rng(5)
+        raw = np.exp(1j * phi_grid(256)) + 0.3 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
+        psi = RingWavefunction(raw).normalized()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="diverged"):
+                imaginary_time_step(psi, RingParams(eta=0.3, u_tilde=1e7), 1e-3)
 
     def test_gauge_covariance_exact_shift(self):
         settings = SolverSettings(noise_amplitude=1e-3, max_iterations=3000)
