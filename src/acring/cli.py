@@ -18,7 +18,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 from . import units
@@ -37,13 +39,21 @@ from .solver import (
     global_ground,
     relax,
 )
-from .sweeps import StaircaseSpec, eta_grid, hysteresis, landscape, staircase
+from .sweeps import (
+    HysteresisRecord,
+    LandscapePeak,
+    LandscapePoint,
+    StaircaseSpec,
+    SweepRecord,
+    eta_grid,
+    hysteresis,
+    landscape,
+    staircase,
+)
 
 __all__ = ["RunConfig", "run", "main"]
 
 ENV_OUTPUT_DIR = "ACRING_OUTPUT_DIR"
-
-STAIRCASE_HEADER = ["eta", "winding_T0", "classical_mean", "thermal_mean", "mu_eff", "degenerate"]
 
 
 @dataclass(frozen=True)
@@ -76,21 +86,81 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value) -> str:
+    """value as json.dumps(payload, sort_keys=True, indent=2) writes it inside a row."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n      ")
+
+
+def _json_floats(column):
+    if all(map(math.isfinite, column)):
+        return map(float.__repr__, column)
+    return map(_json_value, column)  # json writes NaN, Infinity, -Infinity
+
+
+# One formatter per value type, applied to a whole column whose values all
+# have that exact type; any other column goes value by value through the
+# general function (_fmt, _json_value), which writes the same text.
+_CSV_FORMATS = {
+    float: lambda column: map(float.__format__, column, repeat(".12g")),
+    int: lambda column: map(int.__repr__, column),
+    bool: lambda column: map(("false", "true").__getitem__, column),
+    str: lambda column: column,
+}
+_JSON_FORMATS = {
+    float: _json_floats,
+    int: lambda column: map(int.__repr__, column),
+    bool: lambda column: map(("false", "true").__getitem__, column),
+    str: lambda column: map(json.encoder.encode_basestring_ascii, column),
+}
+
+
+def _format_column(column, formats: dict, general) -> list:
+    kinds = set(map(type, column))
+    if len(kinds) == 1 and (kind := kinds.pop()) in formats:
+        return list(formats[kind](column))
+    return list(map(general, column))
+
+
 def _render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """CSV text, formatted column by column; the bytes of one _fmt call per cell."""
+    columns = [_format_column(column, _CSV_FORMATS, _fmt) for column in zip(*rows)]
+    lines = map(",".join, zip(*columns)) if columns else [""] * len(rows)
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+def _render_json_rows(header, rows) -> str:
+    """The "rows" array of json.dumps(payload, sort_keys=True, indent=2), one column at a time."""
+    if not rows:
+        return "[]"
+    position = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
+    columns = list(zip(*rows))
+    members = []
+    for name in sorted(position):
+        prefix = "\n      " + json.dumps(name) + ": "
+        texts = _format_column(columns[position[name]], _JSON_FORMATS, _json_value)
+        members.append(map(prefix.__add__, texts))
+    if not members:
+        return "[\n    " + ",\n    ".join(["{}"] * len(rows)) + "\n  ]"
+    return "[\n    {" + "\n    },\n    {".join(map(",".join, zip(*members))) + "\n    }\n  ]"
 
 
 def _render_json(config: RunConfig, result: CommandResult) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) with the rows written by column."""
     payload = {
         "command": config.subcommand,
         "parameters": config.parameters,
         "columns": result.header,
-        "rows": [dict(zip(result.header, row)) for row in result.rows],
+        "rows": [],
     }
     payload.update(result.extras)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    head, _, tail = json.dumps(payload, sort_keys=True, indent=2).partition('\n  "rows": []')
+    return head + '\n  "rows": ' + _render_json_rows(result.header, result.rows) + tail + "\n"
+
+
+def _table(record_type, records, skip=()) -> tuple:
+    """Header from the record dataclass's fields, one row tuple per record."""
+    names = [f.name for f in fields(record_type) if f.name not in skip]
+    return names, list(map(attrgetter(*names), records))
 
 
 def _resolve_path(path: str) -> Path:
@@ -305,38 +375,28 @@ def _run_staircase(p: dict) -> CommandResult:
     )
     settings = _build_settings(p, default_noise=1e-3) if spec.mode == "numeric" else None
     records = staircase(spec, settings)
-    rows = [
-        [r.eta, r.winding_T0, r.classical_mean, r.thermal_mean, r.mu_eff, r.degenerate]
-        for r in records
-    ]
+    header, rows = _table(SweepRecord, records, skip=("converged",))
     failures = [f"eta={r.eta}" for r in records if not r.converged]
     extras = {"unconverged_etas": [r.eta for r in records if not r.converged]} if failures else {}
-    return CommandResult(
-        header=list(STAIRCASE_HEADER), rows=rows, extras=extras, convergence_failures=failures
-    )
+    return CommandResult(header=header, rows=rows, extras=extras, convergence_failures=failures)
 
 
 def _run_landscape(p: dict) -> CommandResult:
     result = landscape(p["m"], p["eta"], _interaction(p), p["x_step"])
-    rows = [[pt.eta, pt.x, pt.mu_eff] for pt in result.points]
-    peak_header = ["eta", "x_peak", "mu_peak", "height_from_m", "height_from_m_plus_1"]
-    peak_rows = [
-        [pk.eta, pk.x_peak, pk.mu_peak, pk.height_from_m, pk.height_from_m_plus_1]
-        for pk in result.peaks
-    ]
+    header, rows = _table(LandscapePoint, result.points)
+    peak_header, peak_rows = _table(LandscapePeak, result.peaks)
     if p["peaks_output"] is not None:
         _write_text(p["peaks_output"], _render_csv(peak_header, peak_rows))
     extras = {"peaks": [dict(zip(peak_header, row)) for row in peak_rows]}
-    return CommandResult(header=["eta", "x", "mu_eff"], rows=rows, extras=extras)
+    return CommandResult(header=header, rows=rows, extras=extras)
 
 
 def _run_hysteresis(p: dict) -> CommandResult:
     path = list(p["eta"])
     if p["loop"] and len(path) > 1:
         path = path + path[-2::-1]
-    records = hysteresis(path, _interaction(p), p["start_winding"])
-    rows = [[r.eta, r.direction, r.winding, r.barrier_height] for r in records]
-    return CommandResult(header=["eta", "direction", "winding", "barrier_height"], rows=rows)
+    header, rows = _table(HysteresisRecord, hysteresis(path, _interaction(p), p["start_winding"]))
+    return CommandResult(header=header, rows=rows)
 
 
 _HANDLERS = {
@@ -541,6 +601,9 @@ def run(config: RunConfig) -> int:
     except (ConvergenceError, ArithmeticError) as err:  # ArithmeticError: a diverged step
         print(f"error: convergence: {err}", file=sys.stderr)
         return 4
+    except OSError as err:  # a side file: --peaks-output, --dump-psi
+        print(f"error: io: {err}", file=sys.stderr)
+        return 3
     if config.output_format == "json":
         text = _render_json(config, result)
     else:

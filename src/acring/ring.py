@@ -12,12 +12,19 @@ All chemical potentials here exclude the winding-independent offset carried
 by RingParams.mu_offset (use mu_total to add it back for reporting), so the
 numbers sit on the same vertical scale as the u_tilde/(2 pi) interaction
 plateau.
+
+Each closed form is written once, in a function that takes numpy arrays as
+well as scalars (plane_mu, nearest_winding, two_mode_mu, barrier_peak); the
+sweeps evaluate those on whole grids, and the public scalar functions below
+wrap them for one point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .reduction import RingParams
 
@@ -77,9 +84,47 @@ class BarrierInfo:
     height_from_m_plus_1: float
 
 
+def plane_mu(m, eta, u_tilde):
+    """(m - eta)^2 + u_tilde/(2 pi); m and eta may be numpy arrays.
+
+    Every closed form squares with np.float_power(d, 2.0), which rounds like
+    Python's d ** 2 (libm pow); d * d and np.square differ from it by an ulp
+    on some inputs, which would change printed full-precision floats.
+    """
+    return np.float_power(m - eta, 2.0) + u_tilde / TWO_PI
+
+
+def nearest_winding(eta):
+    """(winding, degenerate) of ground_winding for scalar or array eta.
+
+    The winding comes back as a float (exact: it is floor(eta) or one more).
+    """
+    base = np.floor(eta)
+    frac = eta - base
+    return base + (frac > 0.5), frac == 0.5
+
+
+def two_mode_mu(m, x, eta, u_tilde):
+    """mu_mixed for scalar or broadcastable array mixing x and eta."""
+    interaction = u_tilde / TWO_PI * (1.0 + 2.0 * x * (1.0 - x))
+    return (1.0 - x) * np.float_power(m - eta, 2.0) + x * np.float_power(m + 1 - eta, 2.0) + interaction
+
+
+def barrier_peak(m, eta, u_tilde):
+    """barrier's (x_peak, mu_peak, height_from_m, height_from_m_plus_1), also on arrays.
+
+    u_tilde must be > 0; the peak is interior exactly where 0 < x_peak < 1.
+    """
+    x_peak = 0.5 + (m + 0.5 - eta) * math.pi / u_tilde
+    mu_peak = (1.0 + math.pi / u_tilde) * (m - eta) * (m + 1 - eta) + 0.5 * (
+        1.0 + math.pi / (2.0 * u_tilde) + 3.0 * u_tilde / TWO_PI
+    )
+    return x_peak, mu_peak, mu_peak - plane_mu(m, eta, u_tilde), mu_peak - plane_mu(m + 1, eta, u_tilde)
+
+
 def mu_uniform(m: int, params: RingParams) -> float:
     """Chemical potential of the plane wave with winding m: (m-eta)^2 + u/(2 pi)."""
-    return (m - params.eta) ** 2 + params.u_tilde / TWO_PI
+    return float(plane_mu(m, params.eta, params.u_tilde))
 
 
 def mu_total(mu_value: float, params: RingParams) -> float:
@@ -93,16 +138,12 @@ def ground_winding(params: RingParams) -> GroundWindingResult:
     At exact half-integer eta the two neighbors tie; the lower integer is
     returned with degenerate=True so sweeps stay deterministic.
     """
-    eta = params.eta
-    base = math.floor(eta)
-    frac = eta - base
-    if frac == 0.5:
-        winding = base
-        degenerate = True
-    else:
-        winding = base if frac < 0.5 else base + 1
-        degenerate = False
-    return GroundWindingResult(winding=winding, degenerate=degenerate, mu_eff=mu_uniform(winding, params))
+    winding, degenerate = nearest_winding(params.eta)
+    return GroundWindingResult(
+        winding=int(winding),
+        degenerate=bool(degenerate),
+        mu_eff=float(plane_mu(winding, params.eta, params.u_tilde)),
+    )
 
 
 def mu_mixed(state: MixedState, params: RingParams) -> float:
@@ -110,11 +151,7 @@ def mu_mixed(state: MixedState, params: RingParams) -> float:
 
     (1-x)(m-eta)^2 + x(m+1-eta)^2 + u/(2 pi) * [1 + 2x(1-x)].
     """
-    m = state.winding
-    x = state.mixing
-    eta = params.eta
-    interaction = params.u_tilde / TWO_PI * (1.0 + 2.0 * x * (1.0 - x))
-    return (1.0 - x) * (m - eta) ** 2 + x * (m + 1 - eta) ** 2 + interaction
+    return float(two_mode_mu(state.winding, state.mixing, params.eta, params.u_tilde))
 
 
 def barrier(m: int, params: RingParams) -> BarrierInfo | None:
@@ -128,18 +165,12 @@ def barrier(m: int, params: RingParams) -> BarrierInfo | None:
     """
     if params.u_tilde <= 0:
         raise ValueError("barrier analysis requires u_tilde > 0")
-    u = params.u_tilde
-    eta = params.eta
-    delta = m + 0.5 - eta
-    x_peak = 0.5 + delta * math.pi / u
+    x_peak, mu_peak, height_from_m, height_from_m_plus_1 = barrier_peak(m, params.eta, params.u_tilde)
     if not 0.0 < x_peak < 1.0:
         return None
-    mu_peak = (1.0 + math.pi / u) * (m - eta) * (m + 1 - eta) + 0.5 * (
-        1.0 + math.pi / (2.0 * u) + 3.0 * u / TWO_PI
-    )
     return BarrierInfo(
-        x_peak=x_peak,
-        mu_peak=mu_peak,
-        height_from_m=mu_peak - mu_uniform(m, params),
-        height_from_m_plus_1=mu_peak - mu_uniform(m + 1, params),
+        x_peak=float(x_peak),
+        mu_peak=float(mu_peak),
+        height_from_m=float(height_from_m),
+        height_from_m_plus_1=float(height_from_m_plus_1),
     )

@@ -19,10 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .reduction import RingParams
-from .ring import TWO_PI, MixedState, barrier, ground_winding, mu_mixed
+from .ring import TWO_PI, barrier_peak, nearest_winding, plane_mu, two_mode_mu
 from .solver import SolverSettings, global_grounds
-from .solver import global_ground  # noqa: F401  (perfbench/tracing.py wraps acring.sweeps.global_ground)
+
+# perfbench/tracing.py wraps these names in acring.sweeps; the sweeps in this
+# module evaluate the same closed forms on arrays instead of calling them
+from .ring import barrier, ground_winding, mu_mixed  # noqa: F401
+from .solver import global_ground  # noqa: F401
 
 __all__ = [
     "StaircaseSpec",
@@ -133,38 +139,37 @@ class LandscapeResult:
     peaks: list[LandscapePeak]
 
 
+def _finite(name: str, values) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+
+
 def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> list[SweepRecord]:
     """Sweep eta and record the ground winding plus the thermal average.
 
-    Numeric mode relaxes every point of the grid in one multi-point search
+    The closed forms are evaluated on the whole grid at once.  Numeric mode
+    relaxes every point of the grid in one multi-point search
     (global_grounds, in bounded chunks).  Non-convergence at a point does
     not abort the sweep: the best attempt is recorded with converged=False.
     Records come out in eta order.
     """
     w = spec.condensate_weight
     grid = eta_grid(spec.eta_start, spec.eta_stop, spec.eta_step)
+    _finite("u_tilde", spec.u_tilde)
+    etas = np.array(grid)
+    winding, degenerate = nearest_winding(etas)
     if spec.mode == "numeric":
         numeric = global_grounds([RingParams(eta=eta, u_tilde=spec.u_tilde) for eta in grid], settings)
-    records = []
-    for i, eta in enumerate(grid):
-        analytic = ground_winding(RingParams(eta=eta, u_tilde=spec.u_tilde))
-        if spec.mode == "analytic":
-            winding, mu_eff, converged = analytic.winding, analytic.mu_eff, True
-        else:
-            report = numeric[i]
-            winding, mu_eff, converged = report.winding, report.mu, report.converged
-        records.append(
-            SweepRecord(
-                eta=eta,
-                winding_T0=winding,
-                classical_mean=eta,
-                thermal_mean=w * winding + (1.0 - w) * eta,
-                mu_eff=mu_eff,
-                degenerate=analytic.degenerate,
-                converged=converged,
-            )
-        )
-    return records
+        windings = [report.winding for report in numeric]
+        mu_eff = [report.mu for report in numeric]
+        converged = [report.converged for report in numeric]
+        winding = np.array(windings, dtype=float)
+    else:
+        windings = list(map(int, winding.tolist()))
+        mu_eff = plane_mu(winding, etas, spec.u_tilde).tolist()
+        converged = [True] * len(grid)
+    thermal = (w * winding + (1.0 - w) * etas).tolist()
+    return list(map(SweepRecord, grid, windings, grid, thermal, mu_eff, degenerate.tolist(), converged))
 
 
 def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeResult:
@@ -173,7 +178,9 @@ def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeRes
     Tabulates mu_mixed over x in [0, 1] for the winding pair (m, m+1); for
     every eta whose barrier peak lies strictly inside (0, 1) a LandscapePeak
     records its location, value, and the climb from either endpoint.  More
-    than MAX_GRID_POINTS points in all are rejected before any is computed.
+    than MAX_GRID_POINTS points in all are rejected before any is computed,
+    and so is an x_step whose grid ends past x = 1 (eta_grid keeps an
+    endpoint within half a step: 0.4 gives 0, 0.4, 0.8, 1.2).
     """
     if x_step <= 0:
         raise ValueError("x_step must be > 0")
@@ -185,23 +192,18 @@ def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeRes
             f"landscape would exceed {MAX_GRID_POINTS} points (eta values x mixing steps); increase a step"
         )
     xs = eta_grid(0.0, 1.0, x_step)
-    points = []
-    peaks = []
-    for eta in eta_values:
-        params = RingParams(eta=eta, u_tilde=u_tilde)
-        for x in xs:
-            points.append(LandscapePoint(eta=eta, x=x, mu_eff=mu_mixed(MixedState(m, x), params)))
-        info = barrier(m, params)
-        if info is not None:
-            peaks.append(
-                LandscapePeak(
-                    eta=eta,
-                    x_peak=info.x_peak,
-                    mu_peak=info.mu_peak,
-                    height_from_m=info.height_from_m,
-                    height_from_m_plus_1=info.height_from_m_plus_1,
-                )
-            )
+    if xs[-1] > 1.0:
+        raise ValueError(f"x_step {x_step} puts the last mixing point at {xs[-1]}, outside [0, 1]")
+    etas = np.array(eta_values, dtype=float)
+    _finite("eta", etas)
+    _finite("u_tilde", u_tilde)
+    mu = two_mode_mu(m, np.array(xs), etas[:, np.newaxis], u_tilde)
+    point_etas = [eta for eta in eta_values for _ in xs]
+    points = list(map(LandscapePoint, point_etas, xs * len(eta_values), mu.ravel().tolist()))
+    x_peak, *values = barrier_peak(m, etas, u_tilde)
+    interior = ((0.0 < x_peak) & (x_peak < 1.0)).tolist()
+    columns = zip(eta_values, x_peak.tolist(), *(v.tolist() for v in values))
+    peaks = [LandscapePeak(*row) for row, inside in zip(columns, interior) if inside]
     return LandscapeResult(points=points, peaks=peaks)
 
 
@@ -242,27 +244,25 @@ def hysteresis(eta_path, u_tilde: float, start_winding: int) -> list[HysteresisR
         if abs(b - a) > 1.0 + 1e-12:
             raise ValueError("eta path step exceeds 1; winding sectors could be skipped")
 
-    records = []
+    etas = np.array(path)
+    _finite("eta", etas)
+    _finite("u_tilde", u_tilde)
+
+    windings = []
     m = start_winding
-    for i, eta in enumerate(path):
-        if i == 0:
-            going_up = len(path) == 1 or path[1] >= eta
-        else:
-            going_up = eta >= path[i - 1]
+    for eta in path:
         m = _settled_winding(m, eta, u_tilde)
-        neighbor_up = eta >= m
-        pair_base = m if neighbor_up else m - 1
-        info = barrier(pair_base, RingParams(eta=eta, u_tilde=u_tilde))
-        if info is None:
-            height = None
-        else:
-            height = info.height_from_m if neighbor_up else info.height_from_m_plus_1
-        records.append(
-            HysteresisRecord(
-                eta=eta,
-                direction="up" if going_up else "down",
-                winding=m,
-                barrier_height=height,
-            )
-        )
-    return records
+        windings.append(m)
+    going_up = np.empty(len(path), dtype=bool)
+    going_up[0] = len(path) == 1 or path[1] >= path[0]
+    going_up[1:] = etas[1:] >= etas[:-1]
+    winding = np.array(windings)
+    neighbor_up = etas >= winding
+    x_peak, _, height_from_m, height_from_m_plus_1 = barrier_peak(
+        np.where(neighbor_up, winding, winding - 1), etas, u_tilde
+    )
+    heights = np.where(neighbor_up, height_from_m, height_from_m_plus_1).tolist()
+    interior = ((0.0 < x_peak) & (x_peak < 1.0)).tolist()
+    directions = ["up" if up else "down" for up in going_up.tolist()]
+    barrier_heights = [h if inside else None for h, inside in zip(heights, interior)]
+    return list(map(HysteresisRecord, path, directions, windings, barrier_heights))

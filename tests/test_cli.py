@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from acring.cli import main
+from acring.cli import CommandResult, RunConfig, _render_csv, _render_json, main
 
 
 def run_cli(args, capsys=None):
@@ -162,6 +162,19 @@ class TestSolve:
         assert code == 4
         assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
 
+    def test_unwritable_dump_psi_exits_3_with_one_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        out = tmp_path / "s.csv"
+        code = main(
+            ["solve", "--eta", "0.3", "--u-tilde-over-2pi", "2", "--output", str(out),
+             "--dump-psi", str(blocker / "psi.txt")]
+        )
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: io:")
+        assert not out.exists()
+
     def test_hostile_grid_size_exits_3(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = main(
@@ -268,6 +281,30 @@ class TestLandscapeCommand:
         assert not out.exists()
 
 
+    def test_unwritable_peaks_output_exits_3_with_one_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        out = tmp_path / "l.csv"
+        code = main(
+            ["landscape", "--eta", "0.3", "--u-tilde", "1", "--x-step", "0.5", "--output", str(out),
+             "--peaks-output", str(blocker / "p.csv")]
+        )
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: io:")
+        assert not out.exists()
+
+    def test_x_step_past_one_exits_3_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        code = main(
+            ["landscape", "--eta", "0.3", "--u-tilde", "1", "--x-step", "0.4", "--output", str(out)]
+        )
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: validation: x_step")
+        assert not out.exists()
+
+
 class TestHysteresisCommand:
     def test_loop_walk(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -341,3 +378,76 @@ def test_twelve_significant_digit_floats(tmp_path):
     assert record["eta"] == "0.123456789012"
     mu = (0 - 0.123456789012345) ** 2 + 1 / (2 * math.pi)
     assert record["mu_eff"] == f"{mu:.12g}"
+
+
+class TestColumnarRendering:
+    """_render_csv and _render_json write by column; these references write one cell or dict at a time."""
+
+    @staticmethod
+    def reference_fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return f"{value:.12g}"
+        return str(value)
+
+    def reference_csv(self, header, rows):
+        lines = [",".join(header)]
+        lines.extend(",".join(self.reference_fmt(v) for v in row) for row in rows)
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def reference_json(config, result):
+        payload = {
+            "command": config.subcommand,
+            "parameters": config.parameters,
+            "columns": result.header,
+            "rows": [dict(zip(result.header, row)) for row in result.rows],
+        }
+        payload.update(result.extras)
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    BIG = 10**400
+    # the header's sorted order differs from its column order; every column
+    # but "mixed" and "nested" holds one value type
+    HEADER = ["zeta", "alpha", "special", "count", "flag", "missing", "text", "mixed", "nested"]
+    ROWS = [
+        [0.0, 1e-300, math.inf, 0, True, None, 'say "hi"', 1.5, [1, [2.5, None]]],
+        [-0.0, 1e300, -math.inf, BIG, False, None, "back\\slash", None, {"b": 1, "a": "\u00e9"}],
+        [0.1, -2.5e-7, math.nan, -BIG, True, None, "gr\u00fc\u00dfe \u221e", "x", []],
+        [1 / 3, 123456789.123456789, 1.0, -7, False, None, "", True, {}],
+        [-1e-320, -1e16, -0.0, 2**63, True, None, "tab\there", 7, "s"],
+    ]
+    TABLES = [
+        (HEADER, ROWS),
+        (HEADER, [tuple(row) for row in ROWS]),  # rows as attrgetter tuples
+        (HEADER, ROWS[:1]),
+        (HEADER, []),  # empty table
+        (["b", "a", "b"], [[1.0, 2.0, 3.0]]),  # a repeated name keeps its last column, as in dict()
+        ([], [[], []]),
+        (["only"], [[5e-324], [-5e-324]]),
+    ]
+
+    @pytest.mark.parametrize("header, rows", TABLES)
+    def test_csv_matches_cell_by_cell_reference(self, header, rows):
+        assert _render_csv(header, rows) == self.reference_csv(header, rows)
+
+    @pytest.mark.parametrize("header, rows", TABLES)
+    @pytest.mark.parametrize(
+        "extras",
+        [{}, {"peaks": [{"eta": 0.5, "x_peak": 0.5}]}, {"unconverged_etas": [0.25, -0.0]}],
+    )
+    def test_json_matches_json_dumps(self, header, rows, extras):
+        config = RunConfig(
+            subcommand="landscape",
+            # a parameter whose text looks like the rows key stays escaped inside its string
+            parameters={"eta": [0.5, -1.5], "note": '\n  "rows": []', "x_step": 0.25, "peaks_output": None},
+            output_path="-",
+            output_format="json",
+        )
+        result = CommandResult(header=header, rows=rows, extras=extras)
+        assert _render_json(config, result) == self.reference_json(config, result)

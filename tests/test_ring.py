@@ -9,10 +9,14 @@ from acring.reduction import RingParams
 from acring.ring import (
     MixedState,
     barrier,
+    barrier_peak,
     ground_winding,
     mu_mixed,
     mu_total,
     mu_uniform,
+    nearest_winding,
+    plane_mu,
+    two_mode_mu,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -176,3 +180,87 @@ class TestBarrier:
             barrier(0, RingParams(eta=0.5, u_tilde=0.0))
         with pytest.raises(ValueError):
             barrier(0, RingParams(eta=0.5, u_tilde=-1.0))
+
+
+def same_bits(array, values):
+    """Equal as IEEE doubles bit for bit (tells -0.0 from 0.0)."""
+    a = np.asarray(array, dtype=float)
+    b = np.asarray(values, dtype=float).reshape(a.shape)
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestArrayForms:
+    """The array closed forms the sweeps use equal the public scalar functions bit for bit."""
+
+    # negative eta, exact half-integers and points 1e-7 either side of them,
+    # plus random values: on about 1 in 1200 of those, d * d or np.square is an
+    # ulp away from Python's d ** 2, which np.float_power reproduces
+    ETAS = np.concatenate([
+        np.linspace(-3.0, 3.0, 1201),
+        np.random.default_rng(5).uniform(-3.0, 3.0, 3000),
+        [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5],
+        [0.5 - 1e-7, 0.5 + 1e-7, -0.5 - 1e-7, -0.5 + 1e-7, 1.5 + 1e-7, 0.0, -0.0],
+    ])
+    XS = np.linspace(0.0, 1.0, 41)
+    U_TILDES = (0.2 * TWO_PI, 1.7 * TWO_PI, 3.0)
+    WINDINGS = (-3, -1, 0, 2)
+
+    def test_plane_mu_equals_mu_uniform_and_the_python_formula(self):
+        for u in self.U_TILDES:
+            for m in self.WINDINGS:
+                array = plane_mu(m, self.ETAS, u)
+                scalar = [mu_uniform(m, RingParams(eta=eta, u_tilde=u)) for eta in self.ETAS.tolist()]
+                formula = [(m - eta) ** 2 + u / TWO_PI for eta in self.ETAS.tolist()]
+                assert same_bits(array, scalar)
+                assert same_bits(array, formula)
+
+    def test_nearest_winding_equals_ground_winding(self):
+        winding, degenerate = nearest_winding(self.ETAS)
+        for u in self.U_TILDES:
+            results = [ground_winding(RingParams(eta=eta, u_tilde=u)) for eta in self.ETAS.tolist()]
+            assert winding.astype(int).tolist() == [r.winding for r in results]
+            assert degenerate.tolist() == [r.degenerate for r in results]
+            assert same_bits(plane_mu(winding, self.ETAS, u), [r.mu_eff for r in results])
+        # exactly the half-integers, not the points 1e-7 away
+        assert set(self.ETAS[degenerate].tolist()) == {-2.5, -1.5, -0.5, 0.5, 1.5, 2.5}
+
+    def test_two_mode_mu_equals_mu_mixed_and_the_python_formula(self):
+        etas = self.ETAS[::20]
+        for u in self.U_TILDES:
+            for m in self.WINDINGS:
+                array = two_mode_mu(m, self.XS, etas[:, np.newaxis], u)
+                scalar = [
+                    mu_mixed(MixedState(m, x), RingParams(eta=eta, u_tilde=u))
+                    for eta in etas.tolist()
+                    for x in self.XS.tolist()
+                ]
+                formula = [
+                    (1.0 - x) * (m - eta) ** 2 + x * (m + 1 - eta) ** 2 + u / TWO_PI * (1.0 + 2.0 * x * (1.0 - x))
+                    for eta in etas.tolist()
+                    for x in self.XS.tolist()
+                ]
+                assert same_bits(array, scalar)
+                assert same_bits(array, formula)
+
+    def test_barrier_peak_equals_barrier(self):
+        for u in self.U_TILDES:
+            for m in self.WINDINGS:
+                x_peak, mu_peak, from_m, from_m_plus_1 = barrier_peak(m, self.ETAS, u)
+                interior = (0.0 < x_peak) & (x_peak < 1.0)
+                infos = [barrier(m, RingParams(eta=eta, u_tilde=u)) for eta in self.ETAS.tolist()]
+                assert interior.tolist() == [info is not None for info in infos]
+                found = [info for info in infos if info is not None]
+                assert found  # every winding pair has some interior peaks on this grid
+                assert same_bits(x_peak[interior], [info.x_peak for info in found])
+                assert same_bits(mu_peak[interior], [info.mu_peak for info in found])
+                assert same_bits(from_m[interior], [info.height_from_m for info in found])
+                assert same_bits(from_m_plus_1[interior], [info.height_from_m_plus_1 for info in found])
+
+    def test_per_point_winding_arrays(self):
+        # hysteresis evaluates each point against its own winding pair
+        m = np.array([w for w in self.WINDINGS for _ in range(len(self.ETAS))])
+        etas = np.tile(self.ETAS, len(self.WINDINGS))
+        u = self.U_TILDES[1]
+        assert same_bits(plane_mu(m, etas, u), np.concatenate([plane_mu(w, self.ETAS, u) for w in self.WINDINGS]))
+        for got, want in zip(barrier_peak(m, etas, u), zip(*(barrier_peak(w, self.ETAS, u) for w in self.WINDINGS))):
+            assert same_bits(got, np.concatenate(want))

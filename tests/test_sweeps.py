@@ -6,10 +6,14 @@ import pytest
 
 from acring import solver, sweeps
 from acring.reduction import RingParams
+from acring.ring import MixedState, barrier, ground_winding, mu_mixed
 from acring.solver import SolverSettings, global_ground
 from acring.sweeps import (
     HysteresisRecord,
+    LandscapePeak,
+    LandscapePoint,
     StaircaseSpec,
+    SweepRecord,
     eta_grid,
     hysteresis,
     landscape,
@@ -191,6 +195,14 @@ class TestLandscape:
         with pytest.raises(ValueError):
             landscape(0, [0.5], u_tilde=1.0, x_step=0.0)
 
+    def test_x_step_must_keep_the_grid_inside_the_unit_interval(self):
+        # eta_grid keeps an endpoint within half a step: 0.4 would give x = 1.2
+        with pytest.raises(ValueError, match="x_step"):
+            landscape(0, [0.5], u_tilde=1.0, x_step=0.4)
+        with pytest.raises(ValueError, match="x_step"):
+            landscape(0, [], u_tilde=1.0, x_step=1.5)
+        assert [p.x for p in landscape(0, [0.5], u_tilde=1.0, x_step=0.3).points] == [0.0, 0.3, 0.6, 0.9]
+
     def test_joint_cap_rejects_before_any_point(self, monkeypatch):
         # 1001 eta values x 100001 mixing steps = 1e8 points, each grid alone allowed
         def no_points(*args):
@@ -269,3 +281,96 @@ class TestHysteresis:
         assert isinstance(record, HysteresisRecord)
         assert record.direction == "up"
         assert record.winding == 0
+
+
+def test_non_finite_inputs_rejected():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="eta must be finite"):
+        landscape(0, [0.5, nan], u_tilde=1.0, x_step=0.5)
+    with pytest.raises(ValueError, match="u_tilde must be finite"):
+        landscape(0, [0.5], u_tilde=inf, x_step=0.5)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        hysteresis([inf], 1.0, 0)  # the winding walk would slide forever
+    with pytest.raises(ValueError, match="u_tilde must be finite"):
+        hysteresis([0.5], nan, 0)
+    with pytest.raises(ValueError, match="u_tilde must be finite"):
+        staircase(StaircaseSpec(0.0, 1.0, 0.5, u_tilde=nan))
+
+
+class TestSweepsMatchPerPointLoops:
+    """The sweeps evaluate closed forms on arrays; these loops call the scalar functions per point."""
+
+    @staticmethod
+    def staircase_loop(spec):
+        w = spec.condensate_weight
+        records = []
+        for eta in eta_grid(spec.eta_start, spec.eta_stop, spec.eta_step):
+            g = ground_winding(RingParams(eta=eta, u_tilde=spec.u_tilde))
+            thermal = w * g.winding + (1.0 - w) * eta
+            records.append(SweepRecord(eta, g.winding, eta, thermal, g.mu_eff, g.degenerate, True))
+        return records
+
+    @staticmethod
+    def landscape_loop(m, etas, u_tilde, x_step):
+        points, peaks = [], []
+        for eta in etas:
+            params = RingParams(eta=eta, u_tilde=u_tilde)
+            for x in eta_grid(0.0, 1.0, x_step):
+                points.append(LandscapePoint(eta, x, mu_mixed(MixedState(m, x), params)))
+            info = barrier(m, params)
+            if info is not None:
+                peaks.append(
+                    LandscapePeak(eta, info.x_peak, info.mu_peak, info.height_from_m, info.height_from_m_plus_1)
+                )
+        return points, peaks
+
+    @staticmethod
+    def hysteresis_loop(path, u_tilde, m):
+        records = []
+        for i, eta in enumerate(path):
+            going_up = (len(path) == 1 or path[1] >= eta) if i == 0 else eta >= path[i - 1]
+            m = sweeps._settled_winding(m, eta, u_tilde)
+            neighbor_up = eta >= m
+            info = barrier(m if neighbor_up else m - 1, RingParams(eta=eta, u_tilde=u_tilde))
+            height = None if info is None else (info.height_from_m if neighbor_up else info.height_from_m_plus_1)
+            records.append(HysteresisRecord(eta, "up" if going_up else "down", m, height))
+        return records
+
+    # repr tells -0.0 from 0.0 and 1 from 1.0, so equal reprs mean bitwise-equal fields of equal types
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StaircaseSpec(-3.0, 3.0, 0.05, u_tilde=2 * TWO_PI),
+            StaircaseSpec(-3.0, 3.0, 0.05, u_tilde=0.3, condensate_weight=0.37),
+            StaircaseSpec(-1.5, 1.5, 0.0125, u_tilde=TWO_PI, condensate_weight=0.0),
+            StaircaseSpec(0.4999999, 0.5000001, 1e-7, u_tilde=TWO_PI, condensate_weight=0.6),
+            StaircaseSpec(-0.5000001, -0.4999999, 1e-7, u_tilde=TWO_PI, condensate_weight=0.6),
+        ],
+    )
+    def test_staircase(self, spec):
+        assert repr(staircase(spec)) == repr(self.staircase_loop(spec))
+
+    @pytest.mark.parametrize("m", [-2, 0, 1])
+    def test_landscape(self, m):
+        etas = [-1.5, -0.7, -0.5, 0.0, 0.4999999, 0.5, 0.5000001, 1.3, 2.5, 2]
+        for u_tilde, x_step in ((0.4 * TWO_PI, 0.05), (3.0, 0.3), (2 * TWO_PI, 1 / 3)):
+            result = landscape(m, etas, u_tilde, x_step)
+            points, peaks = self.landscape_loop(m, etas, u_tilde, x_step)
+            assert repr(result.points) == repr(points)
+            assert repr(result.peaks) == repr(peaks)
+            assert peaks  # some etas of the list have interior peaks
+
+    @pytest.mark.parametrize("start_winding", [-2, 0, 3])
+    def test_hysteresis(self, start_winding):
+        path = eta_grid(-2.0, 2.0, 0.05)
+        for eta_path, u_tilde in (
+            (path + path[-2::-1], 0.2 * TWO_PI),
+            (path[::-1], 0.45 * TWO_PI),
+            ([0.5], 0.3 * TWO_PI),
+            ([-0.5, -0.5, 0.4999999, 0.5000001, 0.0], 2.0),
+        ):
+            records = hysteresis(eta_path, u_tilde, start_winding)
+            reference = self.hysteresis_loop([float(e) for e in eta_path], u_tilde, start_winding)
+            assert repr(records) == repr(reference)
+            if len(eta_path) > 10:
+                assert any(r.barrier_height is None for r in records)  # the walk slid somewhere
