@@ -20,7 +20,6 @@ from .ring import (
     mu_uniform,
 )
 from .solver import (
-    ConvergenceError,
     GroundStateReport,
     RingWavefunction,
     SolverSettings,
@@ -61,7 +60,6 @@ __all__ = [
     "mu_mixed",
     "mu_total",
     "mu_uniform",
-    "ConvergenceError",
     "GroundStateReport",
     "RingWavefunction",
     "SolverSettings",

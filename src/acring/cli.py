@@ -32,13 +32,7 @@ from .reduction import (
     transverse_kinetic_offset,
 )
 from .ring import ground_winding, mu_total
-from .solver import (
-    ConvergenceError,
-    SolverSettings,
-    dump_wavefunction,
-    global_ground,
-    relax,
-)
+from .solver import SolverSettings, dump_wavefunction, global_ground, relax
 from .sweeps import (
     HysteresisRecord,
     LandscapePeak,
@@ -317,23 +311,19 @@ def _run_ground(p: dict) -> CommandResult:
 
 def _run_solve(p: dict) -> CommandResult:
     params = RingParams(eta=p["eta"], u_tilde=_interaction(p), mu_offset=p["mu_offset"])
-    failures = []
     if p["global_search"]:
-        settings = _build_settings(p, default_noise=1e-3)
-        try:
-            report = global_ground(params, settings)
-        except ConvergenceError as err:
-            report = err.best_report
-            failures.append(str(err))
+        report = global_ground(params, _build_settings(p, default_noise=1e-3))
         search = "global"
+        miss = (
+            f"no seed converged within {report.iterations} iterations "
+            f"(eta={params.eta}, u_tilde={params.u_tilde})"
+        )
     else:
         settings = _build_settings(p, default_noise=0.0, seed_winding=p["seed_winding"])
         report = relax(params, settings)
-        if not report.converged:
-            failures.append(
-                f"relax did not converge within {settings.max_iterations} iterations (eta={params.eta})"
-            )
         search = "seeded"
+        miss = f"relax did not converge within {settings.max_iterations} iterations (eta={params.eta})"
+    failures = [] if report.converged else [miss]
     if p["dump_psi"] is not None:
         dump_path = _resolve_path(p["dump_psi"])
         dump_path.parent.mkdir(parents=True, exist_ok=True)
@@ -450,7 +440,7 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
         "--solver-tolerance",
         type=float,
         default=None,
-        help="per-step relative mu change at convergence (default 1e-10)",
+        help="per-step relative change of mu and of the energy at convergence (default 1e-10)",
     )
     sp.add_argument("--max-iterations", type=int, default=None, help="iteration cap (default 50000)")
     sp.add_argument(
@@ -598,7 +588,7 @@ def run(config: RunConfig) -> int:
     except ValueError as err:
         print(f"error: validation: {err}", file=sys.stderr)
         return 3
-    except (ConvergenceError, ArithmeticError) as err:  # ArithmeticError: a diverged step
+    except ArithmeticError as err:  # a diverged step; a miss comes back as converged=False
         print(f"error: convergence: {err}", file=sys.stderr)
         return 4
     except OSError as err:  # a side file: --peaks-output, --dump-psi

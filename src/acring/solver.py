@@ -27,6 +27,12 @@ seed that settles into a metastable sector, where the plain flow creeps
 along a soft mode for 10-20k steps, converges in hundreds to about a
 thousand.  Only relax records the per-step energy history.
 
+One rule, _stalled, stops both: mu and the energy per particle each moved
+by at most tolerance * max(1, |value|) over the last (accepted) step; mu
+alone stalls at the turning points it passes on the way down (under a
+potential, or with momentum).  A miss is a report with converged=False;
+only a diverged step raises (ArithmeticError).
+
 Mode index convention: numpy transform order, indices above G/2 - 1 wrap to
 negative k (exactly numpy.fft.fftfreq(G, 1/G)).  This matters because
 (k - eta)^2 is not symmetric in k.
@@ -46,7 +52,6 @@ __all__ = [
     "RingWavefunction",
     "SolverSettings",
     "GroundStateReport",
-    "ConvergenceError",
     "phi_grid",
     "mode_numbers",
     "apply_hamiltonian",
@@ -134,9 +139,9 @@ class SolverSettings:
 
     grid_size: azimuthal points G, power of two >= 64
     tau_step: imaginary-time step
-    tolerance: convergence when |mu_new - mu_old| per step falls below
-        tolerance * max(1, |mu|); the batched search compares accepted
-        steps and asks the same of the energy per particle
+    tolerance: convergence when mu and the energy per particle each
+        moved by at most tolerance * max(1, |value|) in one step (accepted
+        steps, in the batched search)
     max_iterations: hard stop; hitting it reports converged=False
     seed_winding: initial state e^{i m0 phi}/sqrt(2 pi)
     noise_amplitude: per-mode complex Gaussian noise added to the seed,
@@ -186,14 +191,6 @@ class GroundStateReport:
     iterations: int
     converged: bool
     energy_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when no relaxation seed converged; carries the best attempt."""
-
-    def __init__(self, message: str, best_report: GroundStateReport | None = None):
-        super().__init__(message)
-        self.best_report = best_report
 
 
 def _as_potential(potential, grid_size: int) -> np.ndarray | None:
@@ -310,31 +307,46 @@ def _strang_step(spec, kin, half_kinetic, u: float, tau: float, v: np.ndarray | 
     return spec, psi, kinetic + u * quart, kinetic + 0.5 * u * quart
 
 
+def _stalled(mu, mu_prev, energy, energy_prev, tolerance):
+    """Whether mu and the energy both moved by at most tolerance * max(1, |value|).
+
+    The convergence test of every solve, on floats (relax) or on per-row
+    arrays (_relax_batch).  Each bound is spelled (moved <= tolerance) |
+    (moved <= tolerance * |value|), the same test in operators that floats
+    and arrays share; np.maximum would turn relax's floats into numpy
+    scalars at about ten times the cost per step.
+    """
+    d_mu, d_energy = abs(mu - mu_prev), abs(energy - energy_prev)
+    return ((d_mu <= tolerance) | (d_mu <= tolerance * abs(mu))) & (
+        (d_energy <= tolerance) | (d_energy <= tolerance * abs(energy))
+    )
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step raises from the norm check
 def relax(params: RingParams, settings: SolverSettings, potential=None) -> GroundStateReport:
     """Relax to the lowest state reachable from the seed.
 
-    Propagates in imaginary time until the chemical potential changes by
-    less than tolerance * max(1, |mu|) in one step, or max_iterations is
-    reached (reported via converged=False, never silently).  An optional
-    real potential sampled on the grid (ring energy units) is applied
-    pointwise; default is the azimuthally symmetric case V = 0.
+    Propagates in imaginary time until mu and the energy per particle have
+    both stalled over one step (_stalled), or max_iterations is reached
+    (reported via converged=False, never silently).  An optional real
+    potential sampled on the grid (ring energy units) is applied pointwise;
+    default is the azimuthally symmetric case V = 0.
     """
     v = _as_potential(potential, settings.grid_size)
     kin, half_kinetic = _kinetic(settings.grid_size, params.eta, settings.tau_step)
     spec = np.fft.fft(_seed_state(settings))
-    mu_prev = math.inf
+    mu_prev = energy_prev = math.inf
     energies: list[float] = []
     converged = False
     for iterations in range(1, settings.max_iterations + 1):
         spec, psi, mu, energy = _strang_step(spec, kin, half_kinetic, params.u_tilde, settings.tau_step, v)
-        mu = float(mu)
-        energies.append(float(energy))
-        if abs(mu - mu_prev) <= settings.tolerance * max(1.0, abs(mu)):
+        mu, energy = float(mu), float(energy)
+        energies.append(energy)
+        if _stalled(mu, mu_prev, energy, energy_prev, settings.tolerance):
             converged = True
             break
-        mu_prev = mu
-    return _report(psi, mu, energies[-1], iterations, converged, energies)
+        mu_prev, energy_prev = mu, energy
+    return _report(psi, mu, energy, iterations, converged, energies)
 
 
 def winding_number(psi: RingWavefunction) -> int:
@@ -401,18 +413,13 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
     of the plain flow, reached in far fewer steps where a row creeps along
     the soft mode of a metastable sector.
 
-    Convergence is the stall test of relax, taken between accepted steps:
-    mu moved by at most tolerance * max(1, |mu|).  The energy per particle
-    must have stalled by the same relative measure, because with momentum
-    mu (unlike the energy) passes through turning points on the way down,
-    and a stall test on mu alone can stop there, short of the answer.
-    iterations counts every step, discarded ones included.  Rows
-    are frozen as they converge and never couple, so a row's trajectory
+    Convergence is the stall test of relax (_stalled), taken between
+    accepted steps.  iterations counts every step, discarded ones included.
+    Rows are frozen as they converge and never couple, so a row's trajectory
     does not depend on the other rows of its batch.  Batching exists
     because the FFT cost at these grid sizes is call-overhead dominated.
     No energy history is recorded.
     """
-    tol = settings.tolerance
     batch = len(seeds)
     inv_g2 = TWO_PI / settings.grid_size**2
     kin, half_kinetic = _kinetic(settings.grid_size, [eta for eta, _ in seeds], settings.tau_step)
@@ -443,8 +450,7 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
         mu_acc, energy_acc = mu[rows], energy[rows]
         rejected = (k > 1.0) & (energy_now > energy_acc)
         accepted = ~rejected
-        done = accepted & (np.abs(mu_now - mu_acc) <= tol * np.maximum(1.0, np.abs(mu_now)))
-        done &= np.abs(energy_now - energy_acc) <= tol * np.maximum(1.0, np.abs(energy_now))
+        done = accepted & _stalled(mu_now, mu_acc, energy_now, energy_acc, settings.tolerance)
         mu[rows] = np.where(accepted, mu_now, mu_acc)
         energy[rows] = np.where(accepted, energy_now, energy_acc)
         iterations[rows] = it
@@ -485,11 +491,10 @@ def global_grounds(points, settings: SolverSettings | None = None) -> list:
     """global_ground at every point, relaxing all seeds of all points together.
 
     All points must share one u_tilde; each brings its own eta.  Returns
-    one report per point, in order.  Unlike global_ground this never raises
-    ConvergenceError: a point at which no seed converged gets its best
-    attempt, with converged=False.  The points are relaxed in chunks of at
-    most 2**17 amplitudes per batch array (at least one point per chunk),
-    which bounds memory for long sweeps and large grids.
+    one report per point, in order; a point at which no seed converged gets
+    its best attempt, with converged=False.  The points are relaxed in
+    chunks of at most 2**17 amplitudes per batch array (at least one point
+    per chunk), which bounds memory for long sweeps and large grids.
     """
     if settings is None:
         settings = SolverSettings(noise_amplitude=1e-3)
@@ -515,17 +520,10 @@ def global_ground(params: RingParams, settings: SolverSettings | None = None) ->
     energies within 1e-6 of the minimum count as ties and resolve toward the
     lower |winding| (then the lower winding).  With settings=None a small
     seeded noise (1e-3, fixed rng) is used so seeds can slide out of their
-    sectors.  Raises ConvergenceError (carrying the best attempt) only when
-    every seed fails to converge.
+    sectors.  When every seed fails to converge, the best attempt comes back
+    with converged=False, as from relax and global_grounds.
     """
-    best = global_grounds([params], settings)[0]
-    if not best.converged:
-        raise ConvergenceError(
-            f"no seed converged within {best.iterations} iterations "
-            f"(eta={params.eta}, u_tilde={params.u_tilde})",
-            best_report=best,
-        )
-    return best
+    return global_grounds([params], settings)[0]
 
 
 def dump_wavefunction(psi: RingWavefunction, path) -> None:

@@ -212,15 +212,20 @@ def _settled_winding(m: int, eta: float, u_tilde: float) -> int:
 
     The two-mode path from m toward m+1 loses its interior peak (and becomes
     monotone downhill) once eta - m >= 1/2 + u_tilde/(2 pi); mirrored for the
-    path toward m-1.  The loop guards the corner case of a path step exactly
-    at the window edge crossing two thresholds at once.
+    path toward m-1.  A slide jumps to floor(eta - half_window) - 1
+    (ceil(eta + half_window) + 1 going down) when the step comparison
+    confirms that the winding still slides there, which holds whenever
+    |eta| < 2**53; single steps take the rest, so a point exactly on a
+    window edge settles as in a walk of single steps.
     """
     half_window = 0.5 + u_tilde / TWO_PI
     while True:
         if eta - m >= half_window:
-            m += 1
+            jump = math.floor(eta - half_window) - 1
+            m = jump if m < jump and eta - jump >= half_window else m + 1
         elif m - eta >= half_window:
-            m -= 1
+            jump = math.ceil(eta + half_window) + 1
+            m = jump if m > jump and jump - eta >= half_window else m - 1
         else:
             return m
 

@@ -141,6 +141,24 @@ class TestSolve:
         header, rows = read_csv(out)
         assert dict(zip(header, rows[0]))["converged"] == "false"
 
+    @pytest.mark.parametrize(
+        "flags, miss",
+        [
+            (["--global", "--max-iterations", "3"],
+             "no seed converged within 3 iterations (eta=0.45, u_tilde=12.566370614359172)"),
+            (["--noise-amplitude", "1e-3", "--max-iterations", "4"],
+             "relax did not converge within 4 iterations (eta=0.45)"),
+        ],
+    )
+    def test_unconverged_solve_names_the_miss_in_one_line(self, tmp_path, capsys, flags, miss):
+        # both searches report a miss as converged=False; the CLI words it
+        out = tmp_path / "s.csv"
+        code = main(["solve", "--eta", "0.45", "--u-tilde-over-2pi", "2", "--output", str(out)] + flags)
+        assert code == 4
+        assert capsys.readouterr().err == f"error: convergence: 1 point(s) unconverged: {miss}\n"
+        header, rows = read_csv(out)
+        assert dict(zip(header, rows[0]))["converged"] == "false"
+
     def test_divergence_exits_4_with_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         with warnings.catch_warnings():

@@ -1,7 +1,9 @@
 """Sweep tooling: staircase, thermal average, landscape, hysteresis walk."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 
 from acring import solver, sweeps
@@ -21,6 +23,18 @@ from acring.sweeps import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def stepwise_settled_winding(m, eta, u_tilde):
+    """The walk of single steps that sweeps._settled_winding shortcuts."""
+    half_window = 0.5 + u_tilde / TWO_PI
+    while True:
+        if eta - m >= half_window:
+            m += 1
+        elif m - eta >= half_window:
+            m -= 1
+        else:
+            return m
 
 
 class TestEtaGrid:
@@ -283,6 +297,45 @@ class TestHysteresis:
         assert record.winding == 0
 
 
+class TestSettledWinding:
+    def test_matches_single_steps_on_random_walks(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            u_tilde = float(rng.choice([1e-9, 0.3, TWO_PI, 40.0])) * float(rng.uniform(0.5, 2.0))
+            start = int(rng.integers(-3000, 3000))
+            path = (np.cumsum(rng.uniform(-1.0, 1.0, 20)) + float(rng.uniform(-3000, 3000))).tolist()
+            windings, m = [], start
+            for eta in path:
+                m = stepwise_settled_winding(m, eta, u_tilde)
+                windings.append(m)
+            assert [r.winding for r in hysteresis(path, u_tilde, start)] == windings
+
+    def test_window_edges_decided_by_the_step_comparison(self):
+        # eta - m == half_window (and m - eta) exactly in floats: a slide
+        # arriving there from far away takes the same last step as single steps
+        edges = 0
+        for u_tilde in (1e-12, 0.2 * TWO_PI, 1.0, 2.0 * TWO_PI, 7.5):
+            half_window = 0.5 + u_tilde / TWO_PI
+            for m in (-1000, -3, 0, 1, 2, 17, 10**6):
+                for eta in (m + half_window, m - half_window):
+                    on_edge = eta - m == half_window or m - eta == half_window
+                    edges += on_edge
+                    for near in (eta, math.nextafter(eta, -math.inf), math.nextafter(eta, math.inf)):
+                        for start in (m - 5000, m - 2, m, m + 2, m + 5000):
+                            assert sweeps._settled_winding(start, near, u_tilde) == stepwise_settled_winding(
+                                start, near, u_tilde
+                            )
+        assert edges >= 30  # about half of the constructed points sit exactly on an edge
+
+    def test_far_starts_return_at_once(self):
+        began = time.perf_counter()
+        (far,) = hysteresis([1e12], 1.0, 0)
+        (back,) = hysteresis([0.0], 1.0, 1_000_000_000)
+        (below,) = hysteresis([-1e12], 1.0, 0)
+        assert time.perf_counter() - began < 1.0  # single steps would take hours
+        assert far.winding == 10**12 and back.winding == 0 and below.winding == -(10**12)
+
+
 def test_non_finite_inputs_rejected():
     nan, inf = float("nan"), float("inf")
     with pytest.raises(ValueError, match="eta must be finite"):
@@ -329,7 +382,7 @@ class TestSweepsMatchPerPointLoops:
         records = []
         for i, eta in enumerate(path):
             going_up = (len(path) == 1 or path[1] >= eta) if i == 0 else eta >= path[i - 1]
-            m = sweeps._settled_winding(m, eta, u_tilde)
+            m = stepwise_settled_winding(m, eta, u_tilde)
             neighbor_up = eta >= m
             info = barrier(m if neighbor_up else m - 1, RingParams(eta=eta, u_tilde=u_tilde))
             height = None if info is None else (info.height_from_m if neighbor_up else info.height_from_m_plus_1)
