@@ -133,7 +133,9 @@ class TestStaircaseNumeric:
     def per_point(self):
         etas = eta_grid(-0.5, 0.5000001, 0.50000005)
         assert etas == [-0.5, 5e-08, 0.5000001]
-        return [global_ground(RingParams(eta=eta, u_tilde=2 * TWO_PI)) for eta in etas]
+        reports = [global_ground(RingParams(eta=eta, u_tilde=2 * TWO_PI)) for eta in etas]
+        assert all(report.converged for report in reports)
+        return reports
 
     def _batched_sweep(self, monkeypatch):
         batches = []
