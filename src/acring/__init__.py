@@ -3,7 +3,7 @@
 Layering: `units` turns lab parameters into the dimensionless phase eta;
 `reduction` turns a 3D trapped cloud into the 1D ring parameters (eta,
 u_tilde); `ring` is the closed-form theory of plane-wave and two-mode states;
-`solver` finds ground states numerically by spectral imaginary time and
+`solver` finds ground states numerically by a spectral descent and
 serves as the independent check on `ring`; `sweeps` and `cli` produce
 staircase / stability / hysteresis tables.
 """

@@ -435,12 +435,17 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--grid-size", type=int, default=None, help="grid points, power of two from 64 to 65536 (default 256)"
     )
-    sp.add_argument("--tau-step", type=float, default=None, help="imaginary-time step (default 1e-3)")
+    sp.add_argument(
+        "--tau-step",
+        type=float,
+        default=None,
+        help="imaginary-time step, validated but unused: the descent takes no time step (default 1e-3)",
+    )
     sp.add_argument(
         "--solver-tolerance",
         type=float,
         default=None,
-        help="per-step relative change of mu and of the energy at convergence (default 1e-10)",
+        help="residual ||(H + V - mu) psi|| at convergence, relative to max(1, |mu|) (default 1e-10)",
     )
     sp.add_argument("--max-iterations", type=int, default=None, help="iteration cap (default 50000)")
     sp.add_argument(
@@ -489,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--mu-offset", type=float, default=0.0, help="winding-independent offset")
     _add_output_flags(grd)
 
-    slv = sub.add_parser("solve", help="imaginary-time ground state on the azimuthal grid")
+    slv = sub.add_parser("solve", help="numeric ground state on the azimuthal grid")
     slv.add_argument("--eta", type=float, required=True, help="gauge phase")
     _add_interaction_flags(slv)
     slv.add_argument("--mu-offset", type=float, default=0.0, help="winding-independent offset")
@@ -588,7 +593,7 @@ def run(config: RunConfig) -> int:
     except ValueError as err:
         print(f"error: validation: {err}", file=sys.stderr)
         return 3
-    except ArithmeticError as err:  # a diverged step; a miss comes back as converged=False
+    except ArithmeticError as err:  # a diverged descent; a miss comes back as converged=False
         print(f"error: convergence: {err}", file=sys.stderr)
         return 4
     except OSError as err:  # a side file: --peaks-output, --dump-psi

@@ -19,9 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import hbar
-from scipy.integrate import quad
-
 __all__ = [
     "TrapSetup",
     "RingParams",
@@ -30,6 +27,8 @@ __all__ = [
     "radial_term_diagnostic",
     "build_ring_params",
 ]
+
+hbar = 6.62607015e-34 / (2 * math.pi)  # J s, exact SI Planck constant; equals scipy.constants.hbar
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,8 @@ def radial_term_diagnostic(trap: TrapSetup) -> float:
     s_rho << rho_0 holds; users should check this before trusting the
     reduction.
     """
+    from scipy.integrate import quad  # scipy loads only when a reduction asks for this diagnostic
+
     phi, dphi = _radial_profile(trap)
     s = trap.width_rho
     rho0 = trap.torus_radius

@@ -1,4 +1,4 @@
-"""Spectral imaginary-time ground states of the 1D ring equation.
+"""Spectral ground states of the 1D ring equation.
 
 The stationary states solve
 
@@ -7,31 +7,19 @@ The stationary states solve
 on a uniform periodic grid phi_j = 2 pi j / G.  The kinetic operator is
 exact in the angular-mode basis: mode k (a signed integer) has eigenvalue
 (k - eta)^2, so the gauge phase costs nothing spectrally and introduces no
-finite-difference artifacts.  Relaxation uses Strang splitting
-(half kinetic / full interaction / half kinetic) with renormalization after
-every step; imaginary time damps everything above the lowest state reachable
-from the seed, which makes the same routine serve both as a metastable-state
+finite-difference artifacts.
+
+One routine, _descend, finds the states for relax and for the batched
+search (global_ground, global_grounds) alike: preconditioned nonlinear
+conjugate gradients on the unit sphere, at 2 transforms an iteration.  It
+lowers the energy from the seed, so it serves both as a metastable-state
 preparator (noise-free seed, stays in its winding sector) and as a global
-ground-state search (small seeded noise lets the state slide between
-sectors).
-
-One function, _strang_step, performs that step for relax,
-imaginary_time_step and the batched search alike.  It carries the
-normalized spectrum from one step to the next, so a step costs 3
-transforms.  relax and imaginary_time_step follow the plain flow, whose
-energy never rises.  The batched search (global_ground, global_grounds)
-accelerates it with restarted momentum: each row steps from an
-extrapolation of its last two accepted states and falls back to a plain
-step whenever its energy would rise.  The fixed points are the same, but a
-seed that settles into a metastable sector, where the plain flow creeps
-along a soft mode for 10-20k steps, converges in hundreds to about a
-thousand.  Only relax records the per-step energy history.
-
-One rule, _stalled, stops both: mu and the energy per particle each moved
-by at most tolerance * max(1, |value|) over the last (accepted) step; mu
-alone stalls at the turning points it passes on the way down (under a
-potential, or with momentum).  A miss is a report with converged=False;
-only a diverged step raises (ArithmeticError).
+ground-state search (small seeded noise lets the state leave its sector).
+One rule stops it: the residual ||(H + V - mu) psi|| is at most
+tolerance * max(1, |mu|), so an accepted state is an eigenstate to that
+accuracy.  A miss is a report with converged=False; only a non-finite mu,
+energy or residual raises (ArithmeticError).  imaginary_time_step keeps the
+Strang step of the imaginary-time flow for step-by-step inspection.
 
 Mode index convention: numpy transform order, indices above G/2 - 1 wrap to
 negative k (exactly numpy.fft.fftfreq(G, 1/G)).  This matters because
@@ -67,6 +55,9 @@ NODE_FLOOR = 1e-10  # fraction of max |psi| below which winding is undefined
 SEED_SHIFTS = range(-2, 3)  # global search seeds, relative to the analytic winding
 _BATCH_AMPLITUDES = 2**17  # cap on rows * grid_size in one batched relaxation
 MAX_GRID_SIZE = 2**16  # larger grids are rejected before anything is allocated
+_MAX_ANGLE = 0.5  # cap on the great-circle step of one descent iteration (radians)
+_ENERGY_SLACK = 1e-13  # relative energy rise a descent step may keep: roundoff
+_HALVINGS = 60  # step halvings per iteration; past them a row keeps its state
 
 
 def _check_grid_size(grid_size: int) -> None:
@@ -135,18 +126,18 @@ class RingWavefunction:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs of the imaginary-time relaxation.
+    """Knobs of the ground-state descent.
 
     grid_size: azimuthal points G, power of two >= 64
-    tau_step: imaginary-time step
-    tolerance: convergence when mu and the energy per particle each
-        moved by at most tolerance * max(1, |value|) in one step (accepted
-        steps, in the batched search)
+    tau_step: imaginary-time step; validated and kept for existing configs,
+        but neither relax nor the global search takes a time step
+    tolerance: convergence when the residual ||(H + V - mu) psi|| is at
+        most tolerance * max(1, |mu|)
     max_iterations: hard stop; hitting it reports converged=False
     seed_winding: initial state e^{i m0 phi}/sqrt(2 pi)
     noise_amplitude: per-mode complex Gaussian noise added to the seed,
-        drawn relative to the seed winding (zero keeps the flow exactly in
-        the seeded sector)
+        drawn relative to the seed winding (zero seeds the plane wave, an
+        exact eigenstate that relax returns as it is)
     rng_seed: seed of the noise generator, fixed for reproducibility
     """
 
@@ -177,11 +168,11 @@ class GroundStateReport:
     """Outcome of one relaxation run.
 
     mu and energy_per_particle are in ring units (offset excluded, same scale
-    as ring.mu_uniform).  iterations counts every kernel step taken,
-    including the steps the batched search discards on an energy rise.
-    energy_history holds the per-step energies of a relax run, useful for
-    monotonicity checks; the batched search (global_ground, global_grounds)
-    records none and leaves it empty.
+    as ring.mu_uniform).  iterations counts the residual evaluations of the
+    descent, the last one included: 1 for a seed that is already an
+    eigenstate.  energy_history holds the energy of every iteration of a
+    relax run, useful for monotonicity checks; the batched search
+    (global_ground, global_grounds) records none and leaves it empty.
     """
 
     wavefunction: RingWavefunction
@@ -204,8 +195,8 @@ def _as_potential(potential, grid_size: int) -> np.ndarray | None:
     return v
 
 
-def _seed_state(settings: SolverSettings) -> np.ndarray:
-    """Seed plane wave plus optional mode-space noise, unit-normalized.
+def _seed_spectrum(settings: SolverSettings) -> np.ndarray:
+    """Spectrum of the seed plane wave plus optional mode-space noise, unit-normalized.
 
     The noise pattern is generated relative to the seed winding (then rolled
     to absolute mode indices), so runs at (eta, m0) and (eta+1, m0+1) with
@@ -218,9 +209,7 @@ def _seed_state(settings: SolverSettings) -> np.ndarray:
         coeffs += settings.noise_amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
     coeffs[0] += 1.0
     coeffs = np.roll(coeffs, settings.seed_winding)
-    psi = np.fft.ifft(coeffs) * g
-    n2 = float((psi.real**2 + psi.imag**2).sum()) * TWO_PI / g
-    return psi / math.sqrt(n2)
+    return coeffs / math.sqrt(TWO_PI * float((coeffs.real**2 + coeffs.imag**2).sum()) / g**2)
 
 
 def apply_hamiltonian(psi: RingWavefunction, params: RingParams) -> RingWavefunction:
@@ -242,111 +231,181 @@ def apply_hamiltonian(psi: RingWavefunction, params: RingParams) -> RingWavefunc
 def imaginary_time_step(
     psi: RingWavefunction, params: RingParams, tau_step: float, potential=None
 ) -> tuple[RingWavefunction, float, float]:
-    """One normalized Strang step; returns (new state, mu, energy).
+    """One normalized Strang step of the imaginary-time flow; returns (new state, mu, energy).
 
-    Convenience wrapper over the same step relax uses; intended for
-    step-by-step inspection, not for long runs (relax precomputes the
-    multipliers once and carries the spectrum between steps).
+    Half kinetic / full interaction (plus the optional potential) / half
+    kinetic, then renormalization; the flow's energy never rises.  For
+    step-by-step inspection of that flow: relax and the global search
+    descend by _descend instead, and tau_step plays no part there.
     """
     if tau_step <= 0:
         raise ValueError("tau_step must be > 0")
     v = _as_potential(potential, psi.grid_size)
-    kin, half_kinetic = _kinetic(psi.grid_size, params.eta, tau_step)
-    spec = np.fft.fft(psi.amplitudes)
-    _, new, mu, energy = _strang_step(spec, kin, half_kinetic, params.u_tilde, tau_step, v)
-    return RingWavefunction(new), float(mu), float(energy)
-
-
-def _kinetic(grid_size: int, eta, tau_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kinetic multipliers (k - eta)^2 and exp(-tau/2 * that); a list of eta gives one row each."""
-    kin = (mode_numbers(grid_size) - np.asarray(eta, dtype=np.float64)[..., None]) ** 2
-    return kin, np.exp(-0.5 * tau_step * kin)
-
-
-def _strang_step(spec, kin, half_kinetic, u: float, tau: float, v: np.ndarray | None = None):
-    """One normalized Strang step of a (rows, G) stack of unit spectra.
-
-    Half kinetic / full interaction (plus the optional potential v, shape
-    (G,), shared by all rows) / half kinetic, then renormalization.  Rows
-    never couple; each carries its own eta through its row of kin and
-    half_kinetic.  spec is overwritten.  Returns (spec, psi, mu, energy):
-    the renormalized spectrum, which the next step takes as input so that a
-    step costs 3 transforms, the real-space rows, and per-row mu and energy
-    per particle of that state.  A single (G,) row is stepped as such, with
-    scalar mu and energy: relax does that, because a (1, G) stack costs
-    about a fifth more per step in numpy call overhead.
-    """
-    g = spec.shape[-1]
-    dphi = TWO_PI / g
-    inv_g2 = dphi / g
-    spec *= half_kinetic
-    psi = np.fft.ifft(spec)
-    dens = psi.real**2 + psi.imag**2
-    expo = u * dens
+    kin = _kinetic(psi.grid_size, params.eta)
+    half_kinetic = np.exp(-0.5 * tau_step * kin)
+    a = np.fft.ifft(half_kinetic * np.fft.fft(psi.amplitudes))
+    expo = params.u_tilde * (a.real**2 + a.imag**2)
     if v is not None:
         expo += v
-    expo -= expo.sum(axis=-1, keepdims=True) / g  # uniform factor is gauge for the renormalized flow
-    expo *= -tau
-    np.exp(expo, out=expo)
-    psi *= expo
-    spec = np.fft.fft(psi)
-    spec *= half_kinetic
-    spec2 = spec.real**2 + spec.imag**2
-    norm2 = inv_g2 * spec2.sum(axis=-1)
-    if not 0.0 < norm2.min() <= norm2.max() < math.inf:  # also false for nan
-        raise ArithmeticError(
-            "imaginary-time step diverged; reduce tau_step (tau_step * u_tilde too large)"
-        )
-    kinetic = inv_g2 * np.einsum("...j,...j->...", spec2, kin) / norm2
-    spec *= (1.0 / np.sqrt(norm2))[..., None]
-    psi = np.fft.ifft(spec)
+    expo -= expo.mean()  # a uniform factor is gauge for the renormalized flow
+    spec = half_kinetic * np.fft.fft(a * np.exp(-tau_step * expo))
+    norm2 = _inner(spec, spec) * TWO_PI / psi.grid_size**2
+    if not 0.0 < norm2 < math.inf:  # also false for nan
+        raise ArithmeticError("imaginary-time step diverged; reduce tau_step (tau_step * u_tilde too large)")
+    spec /= math.sqrt(norm2)
+    a = np.fft.ifft(spec)
+    mu, energy, _ = _energies(spec, a, kin, params.u_tilde, v)
+    return RingWavefunction(a), float(mu), float(energy)
+
+
+def _kinetic(grid_size: int, eta) -> np.ndarray:
+    """Kinetic multipliers (k - eta)^2; a list of eta gives one row each."""
+    return (mode_numbers(grid_size) - np.asarray(eta, dtype=np.float64)[..., None]) ** 2
+
+
+def _inner(a, b):
+    """Per-row sum of Re(conj(a) b) over the last axis of complex arrays, without the measure."""
+    return np.einsum("...j,...j->...", a.view(np.float64), b.view(np.float64))
+
+
+def _energies(spec, psi, kin, u: float, v):
+    """Per-row mu, energy per particle and density of unit states given as spectrum and rows."""
+    g = spec.shape[-1]
+    dphi = TWO_PI / g
     dens = psi.real**2 + psi.imag**2
-    quart = dphi * np.einsum("...j,...j->...", dens, dens)
+    kinetic = dphi / g * np.einsum("...j,...j->...", spec.real**2 + spec.imag**2, kin)
     if v is not None:
         kinetic = kinetic + dphi * (dens @ v)
-    return spec, psi, kinetic + u * quart, kinetic + 0.5 * u * quart
+    quart = dphi * np.einsum("...j,...j->...", dens, dens)
+    return kinetic + u * quart, kinetic + 0.5 * u * quart, dens
 
 
-def _stalled(mu, mu_prev, energy, energy_prev, tolerance):
-    """Whether mu and the energy both moved by at most tolerance * max(1, |value|).
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite values raise below
+def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, history=None):
+    """Minimize the energy of a (rows, G) stack of unit spectra on the unit sphere.
 
-    The convergence test of every solve, on floats (relax) or on per-row
-    arrays (_relax_batch).  Each bound is spelled (moved <= tolerance) |
-    (moved <= tolerance * |value|), the same test in operators that floats
-    and arrays share; np.maximum would turn relax's floats into numpy
-    scalars at about ten times the cost per step.
+    Preconditioned nonlinear conjugate gradients on the sphere (Antoine,
+    Levitt & Tang, J. Comput. Phys. 343, 92, 2017).  An iteration forms the
+    residual R = (H + V - mu) psi in mode space (kin times the spectrum plus
+    one transform of the field (u |psi|^2 + v) psi) and stops a row once
+    ||R|| <= tolerance * max(1, |mu|).  Otherwise the row moves along the
+    great circle cos(theta) psi + sin(theta) d.  d is the Polak-Ribiere(+)
+    combination of the tangent-projected preconditioned gradient P R,
+    P = 1/(kin + u/2pi + 1), with the previous direction, restarted as -P R
+    when it is not a descent direction.  theta minimizes the second-order
+    model of the energy along the circle (one more transform, for d on the
+    grid), capped at _MAX_ANGLE, then halved until the energy rises by at
+    most _ENERGY_SLACK * max(1, |E|), which is roundoff.
+
+    Every row keeps its own direction and angle and leaves the stack once it
+    stops, so its trajectory does not depend on its neighbours.  An
+    iteration is one residual evaluation; a row that reaches max_iterations
+    reports its state there with converged=False.  A non-finite mu, energy
+    or residual raises ArithmeticError.  history, if given, receives the
+    energy of every iteration of a single row.  Returns per-row (psi, mu,
+    energy, iterations, converged).
     """
-    d_mu, d_energy = abs(mu - mu_prev), abs(energy - energy_prev)
-    return ((d_mu <= tolerance) | (d_mu <= tolerance * abs(mu))) & (
-        (d_energy <= tolerance) | (d_energy <= tolerance * abs(energy))
-    )
+    rows, g = spec.shape
+    dphi = TWO_PI / g
+    measure = dphi / g  # Parseval: ||psi||^2 = measure * sum |spec|^2
+    out_psi = np.empty_like(spec)
+    out_mu, out_energy = np.empty(rows), np.empty(rows)
+    out_iterations = np.zeros(rows, dtype=int)
+    out_converged = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
+    psi = np.fft.ifft(spec)
+    mu, energy, dens = _energies(spec, psi, kin, u, v)
+    direction = np.zeros_like(spec)
+    grad_prev = np.zeros_like(spec)
+    slope_prev = np.full(rows, math.inf)  # beta = 0 on the first iteration
+    for it in range(1, max_iterations + 1):
+        field = u * dens
+        if v is not None:
+            field += v
+        resid = kin * spec
+        resid += np.fft.fft(field * psi)
+        resid -= mu[:, None] * spec
+        res = np.sqrt(measure * _inner(resid, resid))
+        if not (np.isfinite(mu).all() and np.isfinite(energy).all() and np.isfinite(res).all()):
+            raise ArithmeticError("ground-state descent diverged: mu, energy or residual is not finite")
+        if history is not None:
+            history.append(float(energy[0]))
+        stop = res <= tolerance * np.maximum(1.0, np.abs(mu))
+        leave = stop if it < max_iterations else np.ones_like(stop)
+        if leave.any():
+            done = live[leave]
+            out_psi[done], out_mu[done], out_energy[done] = psi[leave], mu[leave], energy[leave]
+            out_iterations[done], out_converged[done] = it, stop[leave]
+            keep = ~leave
+            live = live[keep]
+            if live.size == 0:
+                break
+            spec, psi, kin, mu, energy, dens, field, resid, direction, grad_prev, slope_prev = (
+                a[keep] for a in (spec, psi, kin, mu, energy, dens, field, resid, direction, grad_prev, slope_prev)
+            )
+
+        grad = resid / (kin + (u / TWO_PI + 1.0))  # preconditioned
+        grad -= (measure * _inner(spec, grad))[:, None] * spec
+        slope = measure * _inner(resid, grad)
+        beta = np.maximum(0.0, measure * _inner(resid, grad - grad_prev) / slope_prev)
+        direction -= (measure * _inner(spec, direction))[:, None] * spec  # onto the new tangent space
+        direction *= beta[:, None]
+        direction -= grad
+        restart = ~(_inner(resid, direction) < 0.0)  # not a descent direction
+        direction[restart] = -grad[restart]
+        grad_prev, slope_prev = grad, slope
+
+        # E(theta) ~ E + first * theta + second * theta^2 / 2 along the circle, with
+        # first = 2 <R, d> and second = 2 (<d, H d> - mu) + 4 u integral (Re conj(psi) d)^2
+        unit = direction / np.sqrt(measure * _inner(direction, direction))[:, None]
+        unit_psi = np.fft.ifft(unit)
+        first = 2.0 * measure * _inner(resid, unit)
+        cross = psi.real * unit_psi.real + psi.imag * unit_psi.imag
+        second = 2.0 * (
+            measure * np.einsum("ij,ij->i", unit.real**2 + unit.imag**2, kin)
+            + dphi * np.einsum("ij,ij->i", field, unit_psi.real**2 + unit_psi.imag**2)
+            - mu
+        ) + 4.0 * u * dphi * np.einsum("ij,ij->i", cross, cross)
+        angle = np.where(second > 0.0, np.minimum(-first / second, _MAX_ANGLE), _MAX_ANGLE)
+
+        ceiling = energy + _ENERGY_SLACK * np.maximum(1.0, np.abs(energy))
+        todo = np.arange(live.size)
+        for _ in range(_HALVINGS):
+            cos, sin = np.cos(angle[todo])[:, None], np.sin(angle[todo])[:, None]
+            trial = cos * spec[todo] + sin * unit[todo]
+            trial_psi = cos * psi[todo] + sin * unit_psi[todo]
+            scale = 1.0 / np.sqrt(measure * _inner(trial, trial))[:, None]
+            trial *= scale
+            trial_psi *= scale
+            trial_mu, trial_energy, trial_dens = _energies(trial, trial_psi, kin[todo], u, v)
+            ok = trial_energy <= ceiling[todo]
+            moved = todo[ok]
+            spec[moved], psi[moved], dens[moved] = trial[ok], trial_psi[ok], trial_dens[ok]
+            mu[moved], energy[moved] = trial_mu[ok], trial_energy[ok]
+            todo = todo[~ok]
+            if todo.size == 0:
+                break
+            angle[todo] *= 0.5
+    return out_psi, out_mu, out_energy, out_iterations, out_converged
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a diverging step raises from the norm check
 def relax(params: RingParams, settings: SolverSettings, potential=None) -> GroundStateReport:
-    """Relax to the lowest state reachable from the seed.
+    """Descend to the lowest state reachable from the seed.
 
-    Propagates in imaginary time until mu and the energy per particle have
-    both stalled over one step (_stalled), or max_iterations is reached
-    (reported via converged=False, never silently).  An optional real
-    potential sampled on the grid (ring energy units) is applied pointwise;
-    default is the azimuthally symmetric case V = 0.
+    Runs _descend from the seed until the residual ||(H + V - mu) psi||
+    falls to tolerance * max(1, |mu|), or max_iterations is reached
+    (reported via converged=False, never silently), and records the energy
+    of every iteration.  An optional real potential sampled on the grid
+    (ring energy units) is applied pointwise; default is the azimuthally
+    symmetric case V = 0.
     """
     v = _as_potential(potential, settings.grid_size)
-    kin, half_kinetic = _kinetic(settings.grid_size, params.eta, settings.tau_step)
-    spec = np.fft.fft(_seed_state(settings))
-    mu_prev = energy_prev = math.inf
-    energies: list[float] = []
-    converged = False
-    for iterations in range(1, settings.max_iterations + 1):
-        spec, psi, mu, energy = _strang_step(spec, kin, half_kinetic, params.u_tilde, settings.tau_step, v)
-        mu, energy = float(mu), float(energy)
-        energies.append(energy)
-        if _stalled(mu, mu_prev, energy, energy_prev, settings.tolerance):
-            converged = True
-            break
-        mu_prev, energy_prev = mu, energy
-    return _report(psi, mu, energy, iterations, converged, energies)
+    history: list[float] = []
+    spec, kin = _seed_spectrum(settings)[None], _kinetic(settings.grid_size, [params.eta])
+    psi, mu, energy, iterations, converged = _descend(
+        spec, kin, params.u_tilde, v, settings.tolerance, settings.max_iterations, history
+    )
+    return _report(psi[0], mu[0], energy[0], iterations[0], converged[0], history)
 
 
 def winding_number(psi: RingWavefunction) -> int:
@@ -396,81 +455,21 @@ def _report(psi: np.ndarray, mu, energy, iterations, converged, history=()) -> G
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a diverging step raises from the norm check
 def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
     """Relax (eta, seed winding) pairs side by side (one report per pair).
 
-    A (rows, G) stack in which every row carries its own eta (kinetic
-    multipliers) descends by the Strang step of relax, accelerated with
-    restarted momentum (Nesterov extrapolation with adaptive restart,
-    O'Donoghue & Candes 2015).  With x_n the last accepted state of a row,
-    the step input is x_n + beta (x_n - x_{n-1}), renormalized, where
-    beta = (k - 1)/(k + 2) and k counts the row's accepted steps since its
-    last restart.  A step whose energy rises above the last accepted one is
-    discarded; the row restarts (k = 1, so beta = 0) and takes a plain
-    Strang step from x_n, which is always accepted.  A fixed point of the
-    Strang step is a fixed point of this iteration, so the answers are those
-    of the plain flow, reached in far fewer steps where a row creeps along
-    the soft mode of a metastable sector.
-
-    Convergence is the stall test of relax (_stalled), taken between
-    accepted steps.  iterations counts every step, discarded ones included.
-    Rows are frozen as they converge and never couple, so a row's trajectory
-    does not depend on the other rows of its batch.  Batching exists
-    because the FFT cost at these grid sizes is call-overhead dominated.
-    No energy history is recorded.
+    One _descend over a (rows, G) stack in which every row carries its own
+    eta (kinetic multipliers); rows never couple, so each report is the one
+    relax gives for its pair.  Batching exists because the transform cost at
+    these grid sizes is call-overhead dominated.  No energy history is
+    recorded.
     """
-    batch = len(seeds)
-    inv_g2 = TWO_PI / settings.grid_size**2
-    kin, half_kinetic = _kinetic(settings.grid_size, [eta for eta, _ in seeds], settings.tau_step)
-    psi_final = np.zeros((batch, settings.grid_size), dtype=np.complex128)
-    mu = np.full(batch, math.inf)  # of the last accepted state
-    energy = np.full(batch, math.inf)
-    iterations = np.zeros(batch, dtype=int)
-    converged = np.zeros(batch, dtype=bool)
-
-    # working set: rows compress away as they converge
-    rows = np.arange(batch)
-    spec = np.fft.fft(np.stack([_seed_state(replace(settings, seed_winding=seed)) for _, seed in seeds]))
-    prev = spec.copy()  # accepted state before spec
-    k = np.ones(batch)
-
-    for it in range(1, settings.max_iterations + 1):
-        # y = spec + beta (spec - prev), renormalized, built in prev's buffer
-        # (fresh arrays cost page faults); |y|^2 = 1 + (beta + beta^2) |d|^2
-        # for unit spec and prev, with d = spec - prev
-        beta = (k - 1.0) / (k + 2.0)
-        y = np.subtract(spec, prev, out=prev)
-        flat = y.view(np.float64)
-        scale = 1.0 / np.sqrt(1.0 + beta * (1.0 + beta) * inv_g2 * np.einsum("ij,ij->i", flat, flat))
-        y *= beta[:, None]
-        y += spec
-        y *= scale[:, None]
-        out, sub, mu_now, energy_now = _strang_step(y, kin, half_kinetic, u_tilde, settings.tau_step)
-        mu_acc, energy_acc = mu[rows], energy[rows]
-        rejected = (k > 1.0) & (energy_now > energy_acc)
-        accepted = ~rejected
-        done = accepted & _stalled(mu_now, mu_acc, energy_now, energy_acc, settings.tolerance)
-        mu[rows] = np.where(accepted, mu_now, mu_acc)
-        energy[rows] = np.where(accepted, energy_now, energy_acc)
-        iterations[rows] = it
-        k = np.where(accepted, k + 1.0, 1.0)
-        if rejected.any():
-            out[rejected] = spec[rejected]  # back to the last accepted state, with no momentum
-        prev, spec = spec, out
-        if done.any():
-            finished = done.nonzero()[0]
-            psi_final[rows[finished]] = sub[finished]
-            converged[rows[finished]] = True
-            keep = ~done
-            rows = rows[keep]
-            if rows.size == 0:
-                break
-            spec, prev, k, kin, half_kinetic = (a[keep] for a in (spec, prev, k, kin, half_kinetic))
-    if rows.size:
-        psi_final[rows] = np.fft.ifft(spec)  # hit max_iterations; last accepted state, reported unconverged
-
-    return [_report(psi_final[i], mu[i], energy[i], iterations[i], converged[i]) for i in range(batch)]
+    spec = np.stack([_seed_spectrum(replace(settings, seed_winding=seed)) for _, seed in seeds])
+    kin = _kinetic(settings.grid_size, [eta for eta, _ in seeds])
+    psi, mu, energy, iterations, converged = _descend(
+        spec, kin, u_tilde, None, settings.tolerance, settings.max_iterations
+    )
+    return [_report(psi[i], mu[i], energy[i], iterations[i], converged[i]) for i in range(len(seeds))]
 
 
 def _pick_ground(reports: list) -> GroundStateReport:

@@ -1,7 +1,7 @@
 """Parameter sweeps: winding staircase, stability landscape, hysteresis walk.
 
 The staircase tabulates the ground-state winding against the gauge phase eta,
-either from the closed-form nearest-integer rule or from the imaginary-time
+either from the closed-form nearest-integer rule or from the numeric
 solver (the two must agree; the numeric route exists precisely to check the
 analytic one).  Finite temperature enters only as a condensate weight w: the
 mean angular momentum is w * staircase + (1 - w) * eta, the second term being
@@ -71,7 +71,7 @@ class StaircaseSpec:
     """One staircase sweep: eta grid, interaction, engine, condensate weight.
 
     mode 'analytic' uses the nearest-integer rule; 'numeric' runs the
-    multi-seed imaginary-time search at every point.  condensate_weight w
+    multi-seed numeric search at every point.  condensate_weight w
     in [0, 1] sets the thermal average; w = 1 is the pure staircase, w = 0
     the classical line.
     """
@@ -238,7 +238,9 @@ def hysteresis(eta_path, u_tilde: float, start_winding: int) -> list[HysteresisR
     peak leaves (0, 1) the state slides to that neighbor.  Emits the settled
     winding and the barrier height toward the favored neighbor (None where
     the barrier is absent).  Path steps larger than 1 in eta are rejected:
-    they could jump across a whole winding sector.
+    they could jump across a whole winding sector.  So are |eta| >= 2**53
+    and a start_winding that a float does not hold exactly, where the walk's
+    float comparisons cannot tell neighbouring windings apart.
     """
     if u_tilde <= 0:
         raise ValueError("hysteresis requires u_tilde > 0")
@@ -252,6 +254,14 @@ def hysteresis(eta_path, u_tilde: float, start_winding: int) -> list[HysteresisR
     etas = np.array(path)
     _finite("eta", etas)
     _finite("u_tilde", u_tilde)
+    if np.abs(etas).max() >= 2.0**53:  # past it floats skip integers, and the walk could not finish
+        raise ValueError("hysteresis needs |eta| < 2**53, where floats hold every integer")
+    try:
+        exact = float(start_winding) == start_winding
+    except OverflowError:
+        exact = False
+    if not exact:
+        raise ValueError("start_winding must be an integer that a float holds exactly")
 
     windings = []
     m = start_winding

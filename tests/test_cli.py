@@ -162,7 +162,7 @@ class TestSolve:
         out = tmp_path / "s.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["solve", "--eta", "0.3", "--u-tilde", "1e7", "--global", "--output", str(out)])
+            code = main(["solve", "--eta", "0.3", "--u-tilde", "1e300", "--global", "--output", str(out)])
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 4
         assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
@@ -172,12 +172,27 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(
-                ["solve", "--eta", "0.3", "--u-tilde", "1e7", "--noise-amplitude", "1e-3",
+                ["solve", "--eta", "0.3", "--u-tilde", "1e300", "--noise-amplitude", "1e-3",
                  "--output", str(out)]
             )
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 4
         assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
+
+    @pytest.mark.parametrize("search", [["--global"], ["--noise-amplitude", "1e-3"]])
+    def test_strong_interaction_converges_to_the_plane_wave(self, tmp_path, search):
+        # u_tilde = 1e7 overflowed the imaginary-time step; the descent has no
+        # step size to overflow and settles on the plane wave
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["solve", "--eta", "0.3", "--u-tilde", "1e7", *search, "--format", "json", "--output", str(out)]
+            )
+        assert code == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["converged"] and row["winding"] == 0
+        assert row["mu"] == pytest.approx(0.09 + 1e7 / (2 * math.pi), rel=1e-9)
 
     def test_unwritable_dump_psi_exits_3_with_one_error_line(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -242,12 +257,26 @@ class TestStaircaseCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(
-                ["staircase", "--eta=0:0.5:0.25", "--u-tilde", "1e7", "--mode", "numeric",
+                ["staircase", "--eta=0:0.5:0.25", "--u-tilde", "1e300", "--mode", "numeric",
                  "--output", str(out)]
             )
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 4
         assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
+
+    def test_numeric_strong_interaction_converges_to_the_plane_waves(self, tmp_path):
+        out = tmp_path / "st.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["staircase", "--eta=0:0.5:0.25", "--u-tilde", "1e7", "--mode", "numeric",
+                 "--format", "json", "--output", str(out)]
+            )
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["winding_T0"] for row in rows] == [0, 0, 0]
+        for row in rows:
+            assert row["mu_eff"] == pytest.approx(row["eta"] ** 2 + 1e7 / (2 * math.pi), rel=1e-9)
 
 
 class TestLandscapeCommand:
@@ -347,6 +376,26 @@ class TestHysteresisCommand:
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 3
         assert err_lines == ["error: validation: grid would exceed 10000000 points; increase the step"]
+        assert not out.exists()
+
+    def test_eta_past_float_integers_exits_3(self, tmp_path, capsys):
+        # at |eta| >= 2**53 the walk stepped one winding at a time and never returned
+        out = tmp_path / "h.csv"
+        code = main(["hysteresis", "--eta", "1e17", "--u-tilde", "1", "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err_lines == ["error: validation: hysteresis needs |eta| < 2**53, where floats hold every integer"]
+        assert not out.exists()
+
+    def test_start_winding_past_float_range_exits_3(self, tmp_path, capsys):
+        # converting it to a float overflowed and was reported as non-convergence (exit 4)
+        out = tmp_path / "h.csv"
+        code = main(
+            ["hysteresis", "--eta", "0", "--u-tilde", "1", "--start-winding", "1" + "0" * 400, "--output", str(out)]
+        )
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err_lines == ["error: validation: start_winding must be an integer that a float holds exactly"]
         assert not out.exists()
 
 

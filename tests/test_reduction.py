@@ -7,11 +7,15 @@ quadrature of the Gaussian ansatz.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.constants import hbar
 
+from acring import reduction
 from acring.reduction import (
     RingParams,
     TrapSetup,
@@ -181,3 +185,16 @@ def test_trap_validation():
         _trap(torus_radius=0.0)
     with pytest.raises(ValueError):
         _trap(atom_mass=-1.0)
+
+
+def test_hbar_equals_scipy_bit_for_bit():
+    assert reduction.hbar == hbar
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported on first use of the quadrature diagnostic only
+    src = os.path.dirname(os.path.dirname(reduction.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, acring.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
