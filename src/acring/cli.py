@@ -209,7 +209,6 @@ def _interaction(p: dict) -> float:
 
 _SOLVER_KEYS = {
     "grid_size": "grid_size",
-    "tau_step": "tau_step",
     "solver_tolerance": "tolerance",
     "max_iterations": "max_iterations",
     "noise_amplitude": "noise_amplitude",
@@ -436,12 +435,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
         "--grid-size", type=int, default=None, help="grid points, power of two from 64 to 65536 (default 256)"
     )
     sp.add_argument(
-        "--tau-step",
-        type=float,
-        default=None,
-        help="imaginary-time step, validated but unused: the descent takes no time step (default 1e-3)",
-    )
-    sp.add_argument(
         "--solver-tolerance",
         type=float,
         default=None,
@@ -551,7 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_flags(path: str) -> list:
-    """Turn key=value lines into flags; booleans map to --key / --no-key."""
+    """Turn key=value lines into --key=value flags; booleans map to --key / --no-key.
+
+    One token per line, so that a value starting with '-' (a negative range
+    or list) stays the flag's argument.
+    """
     flags = []
     text = Path(path).read_text(encoding="utf-8")
     for raw in text.splitlines():
@@ -568,7 +565,7 @@ def _load_config_flags(path: str) -> list:
         elif value.lower() == "false":
             flags.append(f"--no-{key}")
         else:
-            flags.extend([f"--{key}", value])
+            flags.append(f"--{key}={value}")
     return flags
 
 

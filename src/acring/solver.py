@@ -11,10 +11,11 @@ finite-difference artifacts.
 
 One routine, _descend, finds the states for relax and for the batched
 search (global_ground, global_grounds) alike: preconditioned nonlinear
-conjugate gradients on the unit sphere, at 2 transforms an iteration.  It
-lowers the energy from the seed, so it serves both as a metastable-state
-preparator (noise-free seed, stays in its winding sector) and as a global
-ground-state search (small seeded noise lets the state leave its sector).
+conjugate gradients on the unit sphere, at 2 transforms an iteration.  Only
+_relax_batch calls it, and relax is its one-row case.  It lowers the
+energy from the seed, so it serves both as a metastable-state preparator
+(noise-free seed, stays in its winding sector) and as a global ground-state
+search (small seeded noise lets the state leave its sector).
 One rule stops it: the residual ||(H + V - mu) psi|| is at most
 tolerance * max(1, |mu|), so an accepted state is an eigenstate to that
 accuracy.  A miss is a report with converged=False; only a non-finite mu,
@@ -129,20 +130,17 @@ class SolverSettings:
     """Knobs of the ground-state descent.
 
     grid_size: azimuthal points G, power of two >= 64
-    tau_step: imaginary-time step; validated and kept for existing configs,
-        but neither relax nor the global search takes a time step
     tolerance: convergence when the residual ||(H + V - mu) psi|| is at
-        most tolerance * max(1, |mu|)
+        most tolerance * max(1, |mu|); finite and > 0
     max_iterations: hard stop; hitting it reports converged=False
     seed_winding: initial state e^{i m0 phi}/sqrt(2 pi)
     noise_amplitude: per-mode complex Gaussian noise added to the seed,
         drawn relative to the seed winding (zero seeds the plane wave, an
-        exact eigenstate that relax returns as it is)
+        exact eigenstate that relax returns as it is); finite and >= 0
     rng_seed: seed of the noise generator, fixed for reproducibility
     """
 
     grid_size: int = 256
-    tau_step: float = 1e-3
     tolerance: float = 1e-10
     max_iterations: int = 50_000
     seed_winding: int = 0
@@ -151,16 +149,14 @@ class SolverSettings:
 
     def __post_init__(self) -> None:
         _check_grid_size(self.grid_size)
-        if self.tau_step <= 0:
-            raise ValueError("tau_step must be > 0")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not 0 < self.tolerance < math.inf:  # also false for nan
+            raise ValueError("tolerance must be finite and > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if abs(self.seed_winding) >= self.grid_size // 2:
             raise ValueError("seed_winding must satisfy |m0| < grid_size/2")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
+        if not 0 <= self.noise_amplitude < math.inf:
+            raise ValueError("noise_amplitude must be finite and >= 0")
 
 
 @dataclass
@@ -236,7 +232,7 @@ def imaginary_time_step(
     Half kinetic / full interaction (plus the optional potential) / half
     kinetic, then renormalization; the flow's energy never rises.  For
     step-by-step inspection of that flow: relax and the global search
-    descend by _descend instead, and tau_step plays no part there.
+    descend by _descend instead, which takes no time step.
     """
     if tau_step <= 0:
         raise ValueError("tau_step must be > 0")
@@ -400,12 +396,8 @@ def relax(params: RingParams, settings: SolverSettings, potential=None) -> Groun
     symmetric case V = 0.
     """
     v = _as_potential(potential, settings.grid_size)
-    history: list[float] = []
-    spec, kin = _seed_spectrum(settings)[None], _kinetic(settings.grid_size, [params.eta])
-    psi, mu, energy, iterations, converged = _descend(
-        spec, kin, params.u_tilde, v, settings.tolerance, settings.max_iterations, history
-    )
-    return _report(psi[0], mu[0], energy[0], iterations[0], converged[0], history)
+    (report,) = _relax_batch(params.u_tilde, settings, [(params.eta, settings.seed_winding)], v, [])
+    return report
 
 
 def winding_number(psi: RingWavefunction) -> int:
@@ -441,35 +433,37 @@ def _winding_or_dominant(psi: RingWavefunction) -> int:
         return int(k[int(np.argmax(spec.real**2 + spec.imag**2))])
 
 
-def _report(psi: np.ndarray, mu, energy, iterations, converged, history=()) -> GroundStateReport:
-    """Report for one relaxed row; the winding is read off the final state."""
-    wavefunction = RingWavefunction(psi)
-    return GroundStateReport(
-        wavefunction=wavefunction,
-        mu=float(mu),
-        energy_per_particle=float(energy),
-        winding=_winding_or_dominant(wavefunction),
-        iterations=int(iterations),
-        converged=bool(converged),
-        energy_history=np.asarray(history, dtype=np.float64),
-    )
-
-
-def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list) -> list:
+def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list, v=None, history=None) -> list:
     """Relax (eta, seed winding) pairs side by side (one report per pair).
 
     One _descend over a (rows, G) stack in which every row carries its own
-    eta (kinetic multipliers); rows never couple, so each report is the one
-    relax gives for its pair.  Batching exists because the transform cost at
-    these grid sizes is call-overhead dominated.  No energy history is
-    recorded.
+    eta (kinetic multipliers); rows never couple, so a row's report does
+    not depend on the others.  Batching exists because the transform cost
+    at these grid sizes is call-overhead dominated.  v is a validated
+    potential or None; history, a list given for a single pair, receives
+    the energy of every iteration and becomes its energy_history.  The
+    winding is read off each final state.
     """
     spec = np.stack([_seed_spectrum(replace(settings, seed_winding=seed)) for _, seed in seeds])
     kin = _kinetic(settings.grid_size, [eta for eta, _ in seeds])
     psi, mu, energy, iterations, converged = _descend(
-        spec, kin, u_tilde, None, settings.tolerance, settings.max_iterations
+        spec, kin, u_tilde, v, settings.tolerance, settings.max_iterations, history
     )
-    return [_report(psi[i], mu[i], energy[i], iterations[i], converged[i]) for i in range(len(seeds))]
+    reports = []
+    for i in range(len(seeds)):
+        wavefunction = RingWavefunction(psi[i])
+        reports.append(
+            GroundStateReport(
+                wavefunction=wavefunction,
+                mu=float(mu[i]),
+                energy_per_particle=float(energy[i]),
+                winding=_winding_or_dominant(wavefunction),
+                iterations=int(iterations[i]),
+                converged=bool(converged[i]),
+                energy_history=np.asarray(history or (), dtype=np.float64),
+            )
+        )
+    return reports
 
 
 def _pick_ground(reports: list) -> GroundStateReport:
@@ -491,22 +485,32 @@ def global_grounds(points, settings: SolverSettings | None = None) -> list:
 
     All points must share one u_tilde; each brings its own eta.  Returns
     one report per point, in order; a point at which no seed converged gets
-    its best attempt, with converged=False.  The points are relaxed in
-    chunks of at most 2**17 amplitudes per batch array (at least one point
-    per chunk), which bounds memory for long sweeps and large grids.
+    its best attempt, with converged=False.  A point whose seed windings do
+    not fit the grid (|m0| < grid_size/2) is rejected before any point is
+    relaxed.  The points are relaxed in chunks of at most 2**17 amplitudes
+    per batch array (at least one point per chunk), which bounds memory for
+    long sweeps and large grids.
     """
     if settings is None:
         settings = SolverSettings(noise_amplitude=1e-3)
     points = list(points)
     if len({p.u_tilde for p in points}) > 1:
         raise ValueError("global_grounds needs the same u_tilde at every point")
+    pairs = []
+    for p in points:
+        windings = [ground_winding(p).winding + shift for shift in SEED_SHIFTS]
+        reach = max(map(abs, windings))
+        if reach >= settings.grid_size // 2:
+            raise ValueError(
+                f"the global search at eta={p.eta} seeds windings up to |m0| = {reach}, "
+                f"but grid_size={settings.grid_size} holds only |m0| < {settings.grid_size // 2}"
+            )
+        pairs.extend((p.eta, m0) for m0 in windings)
     seeds = len(SEED_SHIFTS)
-    per_chunk = max(1, _BATCH_AMPLITUDES // (seeds * settings.grid_size))
+    per_chunk = seeds * max(1, _BATCH_AMPLITUDES // (seeds * settings.grid_size))
     best = []
-    for start in range(0, len(points), per_chunk):
-        chunk = points[start : start + per_chunk]
-        pairs = [(p.eta, ground_winding(p).winding + shift) for p in chunk for shift in SEED_SHIFTS]
-        reports = _relax_batch(chunk[0].u_tilde, settings, pairs)
+    for start in range(0, len(pairs), per_chunk):
+        reports = _relax_batch(points[0].u_tilde, settings, pairs[start : start + per_chunk])
         best.extend(_pick_ground(reports[i : i + seeds]) for i in range(0, len(reports), seeds))
     return best
 

@@ -144,6 +144,16 @@ def _finite(name: str, values) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def _float_exact(name: str, winding: int) -> None:
+    """Reject a winding that a float does not hold exactly: the closed forms compute in floats."""
+    try:
+        exact = float(winding) == winding
+    except OverflowError:
+        exact = False
+    if not exact:
+        raise ValueError(f"{name} must be an integer that a float holds exactly")
+
+
 def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> list[SweepRecord]:
     """Sweep eta and record the ground winding plus the thermal average.
 
@@ -180,7 +190,8 @@ def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeRes
     records its location, value, and the climb from either endpoint.  More
     than MAX_GRID_POINTS points in all are rejected before any is computed,
     and so is an x_step whose grid ends past x = 1 (eta_grid keeps an
-    endpoint within half a step: 0.4 gives 0, 0.4, 0.8, 1.2).
+    endpoint within half a step: 0.4 gives 0, 0.4, 0.8, 1.2), and an m that
+    a float does not hold exactly.
     """
     if x_step <= 0:
         raise ValueError("x_step must be > 0")
@@ -197,6 +208,7 @@ def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeRes
     etas = np.array(eta_values, dtype=float)
     _finite("eta", etas)
     _finite("u_tilde", u_tilde)
+    _float_exact("m", m)
     mu = two_mode_mu(m, np.array(xs), etas[:, np.newaxis], u_tilde)
     point_etas = [eta for eta in eta_values for _ in xs]
     points = list(map(LandscapePoint, point_etas, xs * len(eta_values), mu.ravel().tolist()))
@@ -256,12 +268,7 @@ def hysteresis(eta_path, u_tilde: float, start_winding: int) -> list[HysteresisR
     _finite("u_tilde", u_tilde)
     if np.abs(etas).max() >= 2.0**53:  # past it floats skip integers, and the walk could not finish
         raise ValueError("hysteresis needs |eta| < 2**53, where floats hold every integer")
-    try:
-        exact = float(start_winding) == start_winding
-    except OverflowError:
-        exact = False
-    if not exact:
-        raise ValueError("start_winding must be an integer that a float holds exactly")
+    _float_exact("start_winding", start_winding)
 
     windings = []
     m = start_winding

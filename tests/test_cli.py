@@ -217,6 +217,43 @@ class TestSolve:
         assert len(err_lines) == 1 and err_lines[0].startswith("error: validation: grid_size")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--solver-tolerance", "--noise-amplitude"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_solver_setting_exits_3(self, tmp_path, capsys, flag, value):
+        # nan and inf once passed the sign checks: a nan tolerance ran to the cap,
+        # an inf one accepted the noisy seed, a nan noise amplitude was dropped
+        out = tmp_path / "s.csv"
+        code = main(["solve", "--global", "--eta", "0.3", "--u-tilde-over-2pi", "2", flag, value, "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: validation:")
+        assert "must be finite" in err_lines[0]
+        assert not out.exists()
+
+    def test_tau_step_is_a_usage_error(self, tmp_path):
+        # the descent takes no time step; the flag and its config key are gone
+        out = tmp_path / "s.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau_step=1e-3\n")
+        argv = ["solve", "--global", "--eta", "0.3", "--u-tilde", "1", "--output", str(out)]
+        for extra in (["--tau-step", "1e-3"], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_global_seeds_past_the_grid_exit_3(self, tmp_path, capsys):
+        # the seeds reach winding 202 on a 256-point grid; the message names eta and grid_size
+        out = tmp_path / "s.csv"
+        code = main(["solve", "--global", "--eta", "200", "--u-tilde", "1", "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err_lines == [
+            "error: validation: the global search at eta=200.0 seeds windings up to |m0| = 202, "
+            "but grid_size=256 holds only |m0| < 128"
+        ]
+        assert not out.exists()
+
 
 class TestStaircaseCommand:
     def test_csv_schema_and_row_count(self, tmp_path):
@@ -340,6 +377,15 @@ class TestLandscapeCommand:
         assert len(err_lines) == 1 and err_lines[0].startswith("error: io:")
         assert not out.exists()
 
+    def test_m_past_float_range_exits_3(self, tmp_path, capsys):
+        # converting it to a float overflowed and was reported as non-convergence (exit 4)
+        out = tmp_path / "l.csv"
+        code = main(["landscape", "--m", "1" + "0" * 400, "--eta", "0.5", "--u-tilde", "1", "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err_lines == ["error: validation: m must be an integer that a float holds exactly"]
+        assert not out.exists()
+
     def test_x_step_past_one_exits_3_with_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "l.csv"
         code = main(
@@ -417,6 +463,30 @@ class TestConfigAndEnvironment:
         assert code == 0
         header, rows = read_csv(out)
         assert dict(zip(header, rows[0]))["winding"] == "0"
+
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            (
+                "staircase",
+                "eta=-1:1:0.5\nu_tilde_over_2pi=2\n",
+                ["--eta=-1:1:0.5", "--u-tilde-over-2pi", "2"],
+            ),
+            (
+                "hysteresis",
+                "eta=-0.5,-1.25,-2\nu_tilde=1\nloop=true\n",
+                ["--eta=-0.5,-1.25,-2", "--u-tilde", "1", "--loop"],
+            ),
+        ],
+    )
+    def test_negative_config_values_match_explicit_flags(self, tmp_path, command, config, flags):
+        # a value starting with '-' once became its own token, which argparse read as a flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        from_config, from_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+        assert main([command, "--config", str(cfg), "--output", str(from_config)]) == 0
+        assert main([command, *flags, "--output", str(from_flags)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
 
     def test_missing_config_exits_3(self, tmp_path, capsys):
         code = main(["ground", "--config", str(tmp_path / "nope.cfg"), "--eta", "1", "--u-tilde", "1"])

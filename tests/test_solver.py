@@ -1,4 +1,4 @@
-"""Imaginary-time solver: spectral exactness, relaxation, winding, search."""
+"""Ground-state solver: spectral exactness, descent, winding, search."""
 
 import math
 import warnings
@@ -299,14 +299,26 @@ class TestGlobalGround:
         with pytest.raises(ValueError, match="u_tilde"):
             global_grounds([params(0.3, 1.0), params(0.3, 2.0)])
 
+    def test_seeds_past_the_grid_rejected_before_any_descent(self, monkeypatch):
+        # eta 125.6 seeds windings 124..128, and a 256-point grid holds |m0| < 128;
+        # the points before it fill whole chunks, none of which may be relaxed in vain
+        def descend(*args):
+            raise AssertionError("a chunk was relaxed before the rejection")
+
+        monkeypatch.setattr("acring.solver._descend", descend)
+        with pytest.raises(ValueError, match=r"eta=125\.6 .*grid_size=256"):
+            global_grounds([params(0.3)] * 300 + [params(125.6)])
+        with pytest.raises(ValueError, match=r"grid_size=64 holds only \|m0\| < 32"):
+            global_ground(params(-29.5), SolverSettings(grid_size=64, noise_amplitude=1e-3))
+
 
 class TestFlowProperties:
-    def test_energy_monotone_under_imaginary_time(self):
+    def test_descent_energy_never_rises(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
             p = params(float(rng.uniform(-1, 2.5)), float(rng.uniform(0.2, 3)))
+            rng.uniform(1e-4, 1e-2)  # once a time step; drawn still, so the scenarios stay the same
             settings = SolverSettings(
-                tau_step=float(rng.uniform(1e-4, 1e-2)),
                 noise_amplitude=1e-2,
                 seed_winding=int(rng.integers(-1, 2)),
                 max_iterations=2000,
@@ -376,9 +388,14 @@ class TestTypesAndSettings:
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
-            SolverSettings(tau_step=0.0)
-        with pytest.raises(ValueError):
             SolverSettings(tolerance=-1e-10)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance must be finite"):
+                SolverSettings(tolerance=bad)
+            with pytest.raises(ValueError, match="noise_amplitude must be finite"):
+                SolverSettings(noise_amplitude=bad)
+        with pytest.raises(ValueError):
+            SolverSettings(noise_amplitude=-1e-3)
         with pytest.raises(ValueError):
             SolverSettings(max_iterations=0)
         with pytest.raises(ValueError):
