@@ -18,10 +18,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
-from itertools import repeat
-from operator import attrgetter
+from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
+
+import numpy as np
 
 from . import units
 from .reduction import (
@@ -33,17 +34,11 @@ from .reduction import (
 )
 from .ring import ground_winding, mu_total
 from .solver import SolverSettings, dump_wavefunction, global_ground, relax
-from .sweeps import (
-    HysteresisRecord,
-    LandscapePeak,
-    LandscapePoint,
-    StaircaseSpec,
-    SweepRecord,
-    eta_grid,
-    hysteresis,
-    landscape,
-    staircase,
-)
+from .sweeps import StaircaseSpec, eta_grid, hysteresis_columns, landscape_columns, staircase_columns
+
+# perfbench/tracing.py wraps these names in acring.cli; the subcommands call
+# the column builders they are views of
+from .sweeps import hysteresis, landscape, staircase  # noqa: F401
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -62,8 +57,10 @@ class RunConfig:
 
 @dataclass
 class CommandResult:
+    """A subcommand's table: one column (a list) per header name, and the JSON-only extras."""
+
     header: list
-    rows: list
+    columns: list
     extras: dict = field(default_factory=dict)
     convergence_failures: list = field(default_factory=list)
 
@@ -85,61 +82,93 @@ def _json_value(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n      ")
 
 
-def _json_floats(column):
-    if all(map(math.isfinite, column)):
-        return map(float.__repr__, column)
-    return map(_json_value, column)  # json writes NaN, Infinity, -Infinity
+_BOOL_TEXTS = ("false", "true")
+# Rows per rendered piece.  A piece converts its own slice of each column and
+# is written before the next is built, so neither the file nor a full-column
+# temporary is ever held whole: memory stays near the columns themselves.
+_CHUNK_ROWS = 4096
 
 
-# One formatter per value type, applied to a whole column whose values all
-# have that exact type; any other column goes value by value through the
-# general function (_fmt, _json_value), which writes the same text.
-_CSV_FORMATS = {
-    float: lambda column: map(float.__format__, column, repeat(".12g")),
-    int: lambda column: map(int.__repr__, column),
-    bool: lambda column: map(("false", "true").__getitem__, column),
-    str: lambda column: column,
-}
-_JSON_FORMATS = {
-    float: _json_floats,
-    int: lambda column: map(int.__repr__, column),
-    bool: lambda column: map(("false", "true").__getitem__, column),
-    str: lambda column: map(json.encoder.encode_basestring_ascii, column),
-}
+def _float_cells(column, conversion: str) -> tuple:
+    """(conversion, values) of a float column; where values repeat, each distinct bit pattern is converted once.
+
+    The column is one piece of a table (_CHUNK_ROWS rows at most).
+
+    The key is the bits, not the value: 0.0 and -0.0 are equal but print
+    differently.  A column without repeats keeps its floats for the row
+    template to convert.
+    """
+    bits = np.array(column, dtype=np.float64).view(np.int64)
+    ordered = np.sort(bits)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if first.all():
+        return conversion, column
+    distinct = ordered[first]
+    texts = np.array(list(map(conversion.__mod__, distinct.view(np.float64).tolist())), dtype=object)
+    return "%s", texts[np.searchsorted(distinct, bits)]
 
 
-def _format_column(column, formats: dict, general) -> list:
+def _column_cells(column, csv: bool) -> tuple:
+    """One column as (conversion, values) for a %-template row, writing what _fmt or _json_value writes per cell.
+
+    A column whose values all have one type (floats possibly mixed with
+    None, the empty cell) is converted as a whole; '%.12g' % x is
+    format(x, '.12g'), '%r' % x is repr(x) and '%d' % n is repr(n).  Any
+    other column goes value by value through the general function.
+    """
+    general = _fmt if csv else _json_value
     kinds = set(map(type, column))
-    if len(kinds) == 1 and (kind := kinds.pop()) in formats:
-        return list(formats[kind](column))
-    return list(map(general, column))
+    if kinds == {int}:
+        return "%d", column
+    if kinds == {bool}:
+        return "%s", list(map(_BOOL_TEXTS.__getitem__, column))
+    if kinds == {str}:
+        return "%s", column if csv else list(map(json.encoder.encode_basestring_ascii, column))
+    floats = [value for value in column if value is not None] if kinds == {float, type(None)} else column
+    if kinds <= {float, type(None)} and float in kinds and (csv or all(map(math.isfinite, floats))):
+        conversion = "%.12g" if csv else "%r"  # json writes NaN, Infinity, -Infinity
+        if floats is column:
+            return _float_cells(column, conversion)
+        empty = general(None)
+        return "%s", [empty if value is None else conversion % value for value in column]
+    return "%s", list(map(general, column))
 
 
-def _render_csv(header, rows) -> str:
-    """CSV text, formatted column by column; the bytes of one _fmt call per cell."""
-    columns = [_format_column(column, _CSV_FORMATS, _fmt) for column in zip(*rows)]
-    lines = map(",".join, zip(*columns)) if columns else [""] * len(rows)
-    return "\n".join([",".join(header), *lines]) + "\n"
+def _rows(template: str, separator: str, columns, csv: bool):
+    """The table's rows in pieces of _CHUNK_ROWS: template (one row, a %s per column) filled with the cells.
+
+    Each piece converts its own slice of every column, so that no full-column
+    temporary outlives a piece; a list passed as two columns (the
+    staircase's classical_mean is its eta) is converted once per piece.  No
+    per-cell string is built for a column the row template converts itself.
+    """
+    width = len(columns)
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        done = {}
+        for column in columns:
+            if id(column) not in done:
+                done[id(column)] = _column_cells(column[rows], csv)
+        conversions, values = zip(*(done[id(column)] for column in columns))
+        size = len(values[0])
+        cells = [None] * (size * width)
+        for j, part in enumerate(values):
+            cells[j::width] = part
+        yield (separator if start else "") + separator.join([template % conversions] * size) % tuple(cells)
 
 
-def _render_json_rows(header, rows) -> str:
-    """The "rows" array of json.dumps(payload, sort_keys=True, indent=2), one column at a time."""
-    if not rows:
-        return "[]"
-    position = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
-    columns = list(zip(*rows))
-    members = []
-    for name in sorted(position):
-        prefix = "\n      " + json.dumps(name) + ": "
-        texts = _format_column(columns[position[name]], _JSON_FORMATS, _json_value)
-        members.append(map(prefix.__add__, texts))
-    if not members:
-        return "[\n    " + ",\n    ".join(["{}"] * len(rows)) + "\n  ]"
-    return "[\n    {" + "\n    },\n    {".join(map(",".join, zip(*members))) + "\n    }\n  ]"
+def _render_csv(header, columns):
+    """CSV text in pieces, formatted column by column; the bytes of one _fmt call per cell."""
+    yield ",".join(header) + "\n"
+    if columns and len(columns[0]):
+        yield from _rows(",".join(["%s"] * len(columns)), "\n", columns, csv=True)
+        yield "\n"
 
 
-def _render_json(config: RunConfig, result: CommandResult) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2) with the rows written by column."""
+def _render_json(config: RunConfig, result: CommandResult):
+    """json.dumps(payload, sort_keys=True, indent=2) in pieces, with the rows written by column."""
     payload = {
         "command": config.subcommand,
         "parameters": config.parameters,
@@ -148,13 +177,18 @@ def _render_json(config: RunConfig, result: CommandResult) -> str:
     }
     payload.update(result.extras)
     head, _, tail = json.dumps(payload, sort_keys=True, indent=2).partition('\n  "rows": []')
-    return head + '\n  "rows": ' + _render_json_rows(result.header, result.rows) + tail + "\n"
-
-
-def _table(record_type, records, skip=()) -> tuple:
-    """Header from the record dataclass's fields, one row tuple per record."""
-    names = [f.name for f in fields(record_type) if f.name not in skip]
-    return names, list(map(attrgetter(*names), records))
+    yield head + '\n  "rows": '
+    columns = result.columns
+    if columns and len(columns[0]):
+        position = {name: i for i, name in enumerate(result.header)}  # a repeated name keeps its last column
+        names = sorted(position)
+        keys = ["\n      " + json.dumps(name).replace("%", "%%%%") + ": %s" for name in names]
+        yield "[\n    "
+        yield from _rows("{" + ",".join(keys) + "\n    }", ",\n    ", [columns[position[n]] for n in names], csv=False)
+        yield "\n  ]"
+    else:
+        yield "[]"
+    yield tail + "\n"
 
 
 def _resolve_path(path: str) -> Path:
@@ -165,13 +199,15 @@ def _resolve_path(path: str) -> Path:
     return p
 
 
-def _write_text(output_path: str, text: str) -> None:
+def _write_text(output_path: str, pieces) -> None:
+    """Write text given in pieces, one piece at a time."""
     if output_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     dest = _resolve_path(output_path)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_text(text, encoding="utf-8", newline="")  # byte-exact across platforms
+    with dest.open("w", encoding="utf-8", newline="") as out:  # byte-exact across platforms
+        out.writelines(pieces)
 
 
 def _parse_range(text: str) -> tuple:
@@ -260,7 +296,7 @@ def _run_estimate(p: dict) -> CommandResult:
         setup = units.CrossedFieldSetup(p["polarizability"], p["charges_per_bohr"], p["b_field"])
         header = ["geometry", "polarizability_a0cubed", "charges_per_bohr", "b_gauss", "eta"]
         row = ["crossed", p["polarizability"], p["charges_per_bohr"], p["b_field"], units.eta_cross_field(setup)]
-    return CommandResult(header=header, rows=[row])
+    return CommandResult(header=header, columns=[[value] for value in row])
 
 
 def _run_reduce(p: dict) -> CommandResult:
@@ -290,7 +326,7 @@ def _run_reduce(p: dict) -> CommandResult:
         radial_term_diagnostic(trap),
         trap.energy_unit,
     ]
-    return CommandResult(header=header, rows=[row])
+    return CommandResult(header=header, columns=[[value] for value in row])
 
 
 def _run_ground(p: dict) -> CommandResult:
@@ -305,7 +341,7 @@ def _run_ground(p: dict) -> CommandResult:
         result.mu_eff,
         mu_total(result.mu_eff, params),
     ]
-    return CommandResult(header=header, rows=[row])
+    return CommandResult(header=header, columns=[[value] for value in row])
 
 
 def _run_solve(p: dict) -> CommandResult:
@@ -349,7 +385,7 @@ def _run_solve(p: dict) -> CommandResult:
         report.iterations,
         report.converged,
     ]
-    return CommandResult(header=header, rows=[row], convergence_failures=failures)
+    return CommandResult(header=header, columns=[[value] for value in row], convergence_failures=failures)
 
 
 def _run_staircase(p: dict) -> CommandResult:
@@ -363,29 +399,27 @@ def _run_staircase(p: dict) -> CommandResult:
         condensate_weight=p["weight"],
     )
     settings = _build_settings(p, default_noise=1e-3) if spec.mode == "numeric" else None
-    records = staircase(spec, settings)
-    header, rows = _table(SweepRecord, records, skip=("converged",))
-    failures = [f"eta={r.eta}" for r in records if not r.converged]
-    extras = {"unconverged_etas": [r.eta for r in records if not r.converged]} if failures else {}
-    return CommandResult(header=header, rows=rows, extras=extras, convergence_failures=failures)
+    columns = staircase_columns(spec, settings)
+    unconverged = [eta for eta, ok in zip(columns["eta"], columns.pop("converged")) if not ok]
+    failures = [f"eta={eta}" for eta in unconverged]
+    extras = {"unconverged_etas": unconverged} if failures else {}
+    return CommandResult(list(columns), list(columns.values()), extras=extras, convergence_failures=failures)
 
 
 def _run_landscape(p: dict) -> CommandResult:
-    result = landscape(p["m"], p["eta"], _interaction(p), p["x_step"])
-    header, rows = _table(LandscapePoint, result.points)
-    peak_header, peak_rows = _table(LandscapePeak, result.peaks)
+    points, peaks = landscape_columns(p["m"], p["eta"], _interaction(p), p["x_step"])
     if p["peaks_output"] is not None:
-        _write_text(p["peaks_output"], _render_csv(peak_header, peak_rows))
-    extras = {"peaks": [dict(zip(peak_header, row)) for row in peak_rows]}
-    return CommandResult(header=header, rows=rows, extras=extras)
+        _write_text(p["peaks_output"], _render_csv(list(peaks), list(peaks.values())))
+    extras = {"peaks": [dict(zip(peaks, row)) for row in zip(*peaks.values())]}
+    return CommandResult(list(points), list(points.values()), extras=extras)
 
 
 def _run_hysteresis(p: dict) -> CommandResult:
     path = list(p["eta"])
     if p["loop"] and len(path) > 1:
         path = path + path[-2::-1]
-    header, rows = _table(HysteresisRecord, hysteresis(path, _interaction(p), p["start_winding"]))
-    return CommandResult(header=header, rows=rows)
+    columns = hysteresis_columns(path, _interaction(p), p["start_winding"])
+    return CommandResult(list(columns), list(columns.values()))
 
 
 _HANDLERS = {
@@ -450,7 +484,9 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rng-seed", type=int, default=None, help="noise generator seed (default 7)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The acring argument parser, built once per process and shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="acring",
         description="Quantized circulating ring states under a topological gauge phase",
@@ -597,11 +633,11 @@ def run(config: RunConfig) -> int:
         print(f"error: io: {err}", file=sys.stderr)
         return 3
     if config.output_format == "json":
-        text = _render_json(config, result)
+        pieces = _render_json(config, result)
     else:
-        text = _render_csv(result.header, result.rows)
+        pieces = _render_csv(result.header, result.columns)
     try:
-        _write_text(config.output_path, text)
+        _write_text(config.output_path, pieces)
     except OSError as err:
         print(f"error: io: {err}", file=sys.stderr)
         return 3

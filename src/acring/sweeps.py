@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -39,13 +40,17 @@ __all__ = [
     "LandscapeResult",
     "eta_grid",
     "staircase",
+    "staircase_columns",
     "landscape",
+    "landscape_columns",
     "hysteresis",
+    "hysteresis_columns",
 ]
 
 GRID_DECIMALS = 12  # sweep abscissae snap to this many decimals so that
 #                     decimal ranges land on exact binary representatives
 #                     (0.05 * 10 -> 0.5 exactly, not 0.5000000000000001)
+_GRID_SCALE = 10.0**GRID_DECIMALS
 MAX_GRID_POINTS = 10**7  # larger grids are rejected before any list is built
 
 
@@ -62,8 +67,24 @@ def _grid_count(start: float, stop: float, step: float) -> int:
 
 
 def eta_grid(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive grid from start to stop; endpoint within half-step tolerance."""
-    return [round(start + i * step, GRID_DECIMALS) for i in range(_grid_count(start, stop, step))]
+    """Inclusive grid from start to stop; endpoint within half-step tolerance.
+
+    Point i is round(start + i * step, GRID_DECIMALS), bit for bit, sign of
+    zero included.  It is computed as the integer N = rint(x * 1e12) over
+    1e12, which is the same double: N / 1e12 is correctly rounded, as is
+    round's decimal-to-float step.  Where the product x * 1e12 (itself
+    rounded) lies within one ulp of a half-integer, rint could settle a tie
+    the other way than the exact x would, and from |x * 1e12| = 2**52 on
+    (inf included) N is no longer exact; those points use round itself.
+    """
+    x = start + np.arange(_grid_count(start, stop, step)) * step
+    with np.errstate(over="ignore", invalid="ignore"):  # such points go to round below
+        scaled = x * _GRID_SCALE
+        grid = np.rint(scaled) / _GRID_SCALE
+        near_tie = np.abs(scaled - np.floor(scaled) - 0.5) <= np.abs(np.spacing(scaled))
+    exact = np.flatnonzero(near_tie | ~(np.abs(scaled) < 2.0**52))
+    grid[exact] = [round(value, GRID_DECIMALS) for value in x[exact].tolist()]
+    return grid.tolist()
 
 
 @dataclass(frozen=True)
@@ -154,14 +175,14 @@ def _float_exact(name: str, winding: int) -> None:
         raise ValueError(f"{name} must be an integer that a float holds exactly")
 
 
-def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> list[SweepRecord]:
-    """Sweep eta and record the ground winding plus the thermal average.
+def staircase_columns(spec: StaircaseSpec, settings: SolverSettings | None = None) -> dict[str, list]:
+    """The staircase as SweepRecord's field names mapped to plain lists, in field order.
 
     The closed forms are evaluated on the whole grid at once.  Numeric mode
     relaxes every point of the grid in one multi-point search
     (global_grounds, in bounded chunks).  Non-convergence at a point does
     not abort the sweep: the best attempt is recorded with converged=False.
-    Records come out in eta order.
+    Rows come out in eta order; classical_mean is the eta list itself.
     """
     w = spec.condensate_weight
     grid = eta_grid(spec.eta_start, spec.eta_stop, spec.eta_step)
@@ -175,23 +196,39 @@ def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> li
         converged = [report.converged for report in numeric]
         winding = np.array(windings, dtype=float)
     else:
-        windings = list(map(int, winding.tolist()))
+        floats = winding.tolist()
+        ints = {w: int(w) for w in set(floats)}  # one int per distinct winding, shared by its rows
+        windings = list(map(ints.__getitem__, floats))
         mu_eff = plane_mu(winding, etas, spec.u_tilde).tolist()
         converged = [True] * len(grid)
-    thermal = (w * winding + (1.0 - w) * etas).tolist()
-    return list(map(SweepRecord, grid, windings, grid, thermal, mu_eff, degenerate.tolist(), converged))
+    return {
+        "eta": grid,
+        "winding_T0": windings,
+        "classical_mean": grid,
+        "thermal_mean": (w * winding + (1.0 - w) * etas).tolist(),
+        "mu_eff": mu_eff,
+        "degenerate": degenerate.tolist(),
+        "converged": converged,
+    }
 
 
-def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeResult:
-    """Two-mode energy surface mu(x) for each eta, with barrier peaks marked.
+def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> list[SweepRecord]:
+    """Sweep eta and record the ground winding plus the thermal average (see staircase_columns)."""
+    return list(map(SweepRecord, *staircase_columns(spec, settings).values()))
+
+
+def landscape_columns(m: int, eta_values, u_tilde: float, x_step: float) -> tuple[dict, dict]:
+    """The landscape as (points, peaks): LandscapePoint's and LandscapePeak's field names mapped to lists.
 
     Tabulates mu_mixed over x in [0, 1] for the winding pair (m, m+1); for
-    every eta whose barrier peak lies strictly inside (0, 1) a LandscapePeak
+    every eta whose barrier peak lies strictly inside (0, 1) a peak row
     records its location, value, and the climb from either endpoint.  More
     than MAX_GRID_POINTS points in all are rejected before any is computed,
     and so is an x_step whose grid ends past x = 1 (eta_grid keeps an
     endpoint within half a step: 0.4 gives 0, 0.4, 0.8, 1.2), and an m that
-    a float does not hold exactly.
+    a float does not hold exactly.  So is a table whose values overflow
+    floats (|eta - m| past about 1e154, or u_tilde near the float range),
+    before any row is built.
     """
     if x_step <= 0:
         raise ValueError("x_step must be > 0")
@@ -209,14 +246,27 @@ def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeRes
     _finite("eta", etas)
     _finite("u_tilde", u_tilde)
     _float_exact("m", m)
-    mu = two_mode_mu(m, np.array(xs), etas[:, np.newaxis], u_tilde)
-    point_etas = [eta for eta in eta_values for _ in xs]
-    points = list(map(LandscapePoint, point_etas, xs * len(eta_values), mu.ravel().tolist()))
-    x_peak, *values = barrier_peak(m, etas, u_tilde)
-    interior = ((0.0 < x_peak) & (x_peak < 1.0)).tolist()
-    columns = zip(eta_values, x_peak.tolist(), *(v.tolist() for v in values))
-    peaks = [LandscapePeak(*row) for row, inside in zip(columns, interior) if inside]
-    return LandscapeResult(points=points, peaks=peaks)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
+        mu = two_mode_mu(m, np.array(xs), etas[:, np.newaxis], u_tilde)
+        x_peak, *values = barrier_peak(m, etas, u_tilde)
+    interior = (0.0 < x_peak) & (x_peak < 1.0)
+    finite = np.isfinite(mu).all(axis=1) & (~interior | np.isfinite(values).all(axis=0))
+    if not finite.all():
+        raise ValueError(f"eta={eta_values[finite.argmin()]} overflows the landscape's floats (u_tilde={u_tilde})")
+    points = {
+        "eta": [eta for eta in eta_values for _ in xs],
+        "x": xs * len(eta_values),
+        "mu_eff": mu.ravel().tolist(),
+    }
+    peak_names = ("eta", "x_peak", "mu_peak", "height_from_m", "height_from_m_plus_1")
+    peak_columns = [list(compress(eta_values, interior.tolist()))] + [v[interior].tolist() for v in (x_peak, *values)]
+    return points, dict(zip(peak_names, peak_columns))
+
+
+def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeResult:
+    """Two-mode energy surface mu(x) for each eta, with barrier peaks marked (see landscape_columns)."""
+    points, peaks = landscape_columns(m, eta_values, u_tilde, x_step)
+    return LandscapeResult(list(map(LandscapePoint, *points.values())), list(map(LandscapePeak, *peaks.values())))
 
 
 def _settled_winding(m: int, eta: float, u_tilde: float) -> int:
@@ -242,8 +292,8 @@ def _settled_winding(m: int, eta: float, u_tilde: float) -> int:
             return m
 
 
-def hysteresis(eta_path, u_tilde: float, start_winding: int) -> list[HysteresisRecord]:
-    """Walk eta along a path, carrying the winding through metastable plateaus.
+def hysteresis_columns(eta_path, u_tilde: float, start_winding: int) -> dict[str, list]:
+    """The hysteresis walk as HysteresisRecord's field names mapped to plain lists, in field order.
 
     At each point the current winding m survives while the two-mode barrier
     toward the adjacent lower-mu winding still has an interior peak; once the
@@ -285,6 +335,14 @@ def hysteresis(eta_path, u_tilde: float, start_winding: int) -> list[HysteresisR
     )
     heights = np.where(neighbor_up, height_from_m, height_from_m_plus_1).tolist()
     interior = ((0.0 < x_peak) & (x_peak < 1.0)).tolist()
-    directions = ["up" if up else "down" for up in going_up.tolist()]
-    barrier_heights = [h if inside else None for h, inside in zip(heights, interior)]
-    return list(map(HysteresisRecord, path, directions, windings, barrier_heights))
+    return {
+        "eta": path,
+        "direction": ["up" if up else "down" for up in going_up.tolist()],
+        "winding": windings,
+        "barrier_height": [h if inside else None for h, inside in zip(heights, interior)],
+    }
+
+
+def hysteresis(eta_path, u_tilde: float, start_winding: int) -> list[HysteresisRecord]:
+    """Walk eta along a path, carrying the winding through metastable plateaus (see hysteresis_columns)."""
+    return list(map(HysteresisRecord, *hysteresis_columns(eta_path, u_tilde, start_winding).values()))

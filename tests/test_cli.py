@@ -1,12 +1,20 @@
 """CLI behaviour: schemas, exit codes, config precedence, determinism."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import acring
+from acring import sweeps
 from acring.cli import CommandResult, RunConfig, _render_csv, _render_json, main
+from acring.sweeps import StaircaseSpec, eta_grid, hysteresis, landscape, staircase
 
 
 def run_cli(args, capsys=None):
@@ -396,6 +404,33 @@ class TestLandscapeCommand:
         assert len(err_lines) == 1 and err_lines[0].startswith("error: validation: x_step")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "eta, u_tilde",
+        [("1e300", "1"), ("-1e160", "1"), ("0.7", "1e308")],  # (m - eta)^2 overflows; so does the peak's 3 u
+    )
+    def test_overflowing_table_exits_3_without_warnings(self, tmp_path, capsys, eta, u_tilde):
+        # it printed numpy RuntimeWarnings, wrote nan and inf rows and exited 0
+        out = tmp_path / "l.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["landscape", f"--eta={eta}", "--u-tilde", u_tilde, "--x-step", "0.5", "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith(f"error: validation: eta={float(eta)} overflows")
+        assert not out.exists()
+
+    def test_overflow_off_the_table_is_not_reported(self, tmp_path):
+        # at a subnormal u_tilde the peak sits at x = -inf, outside (0, 1): no peak row, no warning
+        out = tmp_path / "l.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["landscape", "--eta", "0.7", "--u-tilde", "5e-324", "--x-step", "0.5",
+                         "--format", "json", "--output", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["peaks"] == []
+        assert [row["mu_eff"] for row in payload["rows"]] == pytest.approx([0.49, 0.29, 0.09], abs=1e-15)
+
 
 class TestHysteresisCommand:
     def test_loop_walk(self, tmp_path):
@@ -517,7 +552,11 @@ def test_twelve_significant_digit_floats(tmp_path):
 
 
 class TestColumnarRendering:
-    """_render_csv and _render_json write by column; these references write one cell or dict at a time."""
+    """_render_csv and _render_json take columns and give the text in pieces; these references write one cell or dict at a time.
+
+    Each table is written as rows below, and handed to the renderers as its
+    columns, list(zip(*rows)).  A table without columns has no rows either.
+    """
 
     @staticmethod
     def reference_fmt(value):
@@ -542,7 +581,7 @@ class TestColumnarRendering:
             "command": config.subcommand,
             "parameters": config.parameters,
             "columns": result.header,
-            "rows": [dict(zip(result.header, row)) for row in result.rows],
+            "rows": [dict(zip(result.header, row)) for row in zip(*result.columns)],
         }
         payload.update(result.extras)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -568,22 +607,152 @@ class TestColumnarRendering:
         (["only"], [[5e-324], [-5e-324]]),
     ]
 
-    @pytest.mark.parametrize("header, rows", TABLES)
-    def test_csv_matches_cell_by_cell_reference(self, header, rows):
-        assert _render_csv(header, rows) == self.reference_csv(header, rows)
+    SHARED = [0.5, -0.0, 0.5, 1 / 3, 0.0]
+    # the renderers format each distinct bit pattern once, and a list passed
+    # as two columns once: 0.0 and -0.0 are equal keys, NaNs unequal ones
+    COLUMN_TABLES = [
+        (["zero", "signed"], [[0.0, -0.0, 0.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0, -0.0]]),
+        (["nan"], [[math.nan, 1.0, math.nan, -math.nan, math.inf, math.inf, -math.inf, 1.0]]),
+        (["a", "n", "b"], [SHARED, [1, 2, 3, 4, 5], SHARED]),
+        (["height"], [[None, 0.5, None, 0.5, -0.0, 0.0, None]]),
+        (["height", "eta"], [[None, None], [-0.0, -0.0]]),
+        # more rows than one rendered piece holds (4096)
+        (["i", "x", "half"], [list(range(9000)), [i % 7 / 3 for i in range(9000)], [i / 2 for i in range(9000)]]),
+    ]
+    JSON_CONFIG = RunConfig(
+        subcommand="landscape",
+        # a parameter whose text looks like the rows key stays escaped inside its string
+        parameters={"eta": [0.5, -1.5], "note": '\n  "rows": []', "x_step": 0.25, "peaks_output": None},
+        output_path="-",
+        output_format="json",
+    )
+    EXTRAS = [{}, {"peaks": [{"eta": 0.5, "x_peak": 0.5}]}, {"unconverged_etas": [0.25, -0.0]}]
 
     @pytest.mark.parametrize("header, rows", TABLES)
-    @pytest.mark.parametrize(
-        "extras",
-        [{}, {"peaks": [{"eta": 0.5, "x_peak": 0.5}]}, {"unconverged_etas": [0.25, -0.0]}],
-    )
+    def test_csv_matches_cell_by_cell_reference(self, header, rows):
+        columns = list(zip(*rows))
+        assert "".join(_render_csv(header, columns)) == self.reference_csv(header, list(zip(*columns)))
+
+    @pytest.mark.parametrize("header, rows", TABLES)
+    @pytest.mark.parametrize("extras", EXTRAS)
     def test_json_matches_json_dumps(self, header, rows, extras):
-        config = RunConfig(
-            subcommand="landscape",
-            # a parameter whose text looks like the rows key stays escaped inside its string
-            parameters={"eta": [0.5, -1.5], "note": '\n  "rows": []', "x_step": 0.25, "peaks_output": None},
-            output_path="-",
-            output_format="json",
-        )
-        result = CommandResult(header=header, rows=rows, extras=extras)
-        assert _render_json(config, result) == self.reference_json(config, result)
+        result = CommandResult(header=header, columns=list(zip(*rows)), extras=extras)
+        assert "".join(_render_json(self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
+
+    @pytest.mark.parametrize("header, columns", COLUMN_TABLES)
+    def test_repeated_and_shared_columns(self, header, columns):
+        assert "".join(_render_csv(header, columns)) == self.reference_csv(header, list(zip(*columns)))
+        for extras in self.EXTRAS:
+            result = CommandResult(header=header, columns=columns, extras=extras)
+            assert "".join(_render_json(self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
+
+
+class TestSweepsFromColumns:
+    """The CLI writes the analytic sweeps from their columns and builds no per-point record."""
+
+    CASES = [
+        pytest.param(
+            ["staircase", "--eta=-2.5:0.5:0.05", "--u-tilde-over-2pi", "0.7", "--weight", "0.3"],
+            lambda: staircase(StaircaseSpec(-2.5, 0.5, 0.05, u_tilde=0.7 * 2.0 * math.pi, condensate_weight=0.3)),
+            id="staircase-negative-and-half-integers",
+        ),
+        pytest.param(
+            ["staircase", "--eta=-0.5000001:-0.4999999:1e-8", "--u-tilde", "1", "--weight", "0.6"],
+            lambda: staircase(StaircaseSpec(-0.5000001, -0.4999999, 1e-8, u_tilde=1.0, condensate_weight=0.6)),
+            id="staircase-near-minus-half",
+        ),
+        pytest.param(
+            ["staircase", "--eta=0.4999999:0.5000001:1e-8", "--u-tilde", "1"],
+            lambda: staircase(StaircaseSpec(0.4999999, 0.5000001, 1e-8, u_tilde=1.0)),
+            id="staircase-near-half",
+        ),
+        pytest.param(  # the winding is a 301-digit integer, past any int64
+            ["staircase", "--eta=1e300:1e300:1", "--u-tilde", "1"],
+            lambda: staircase(StaircaseSpec(1e300, 1e300, 1.0, u_tilde=1.0)),
+            id="staircase-1e300",
+        ),
+        pytest.param(
+            ["landscape", "--m=-1", "--eta=-1.5,-0.5,0.4999999,0.5,-0.0,2.5", "--u-tilde", "3", "--x-step", "0.05"],
+            lambda: landscape(-1, [-1.5, -0.5, 0.4999999, 0.5, -0.0, 2.5], 3.0, 0.05),
+            id="landscape",
+        ),
+        pytest.param(
+            ["hysteresis", "--eta=-2:2:0.05", "--u-tilde-over-2pi", "0.2", "--loop", "--start-winding=-1"],
+            lambda: hysteresis((lambda p: p + p[-2::-1])(eta_grid(-2.0, 2.0, 0.05)), 0.2 * 2.0 * math.pi, -1),
+            id="hysteresis-loop",
+        ),
+    ]
+
+    @staticmethod
+    def table(records):
+        header = [f.name for f in dataclasses.fields(records[0]) if f.name != "converged"]
+        return header, [[getattr(record, name) for name in header] for record in records]
+
+    @pytest.mark.parametrize("argv, records", CASES)
+    def test_bytes_equal_a_rendering_of_the_records(self, tmp_path, monkeypatch, argv, records):
+        result = records()
+        points, peaks = (result.points, result.peaks) if argv[0] == "landscape" else (result, None)
+        header, rows = self.table(points)
+        if argv[0] == "hysteresis":  # empty barrier_height cells among full ones
+            assert any(row[-1] is None for row in rows) and any(row[-1] is not None for row in rows)
+
+        class Forbidden:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the CLI built a per-point record")
+
+        for name in ("SweepRecord", "LandscapePoint", "LandscapePeak", "HysteresisRecord"):
+            monkeypatch.setattr(sweeps, name, Forbidden)
+        reference = TestColumnarRendering()
+        peaks_out = tmp_path / "peaks.csv"
+        extra = ["--peaks-output", str(peaks_out)] if peaks is not None else []
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            assert main(argv + extra + ["--format", fmt, "--output", str(out)]) == 0
+            text = out.read_text()
+            if fmt == "csv":
+                assert text == reference.reference_csv(header, rows)
+                continue
+            payload = json.loads(text)
+            payload["rows"] = [dict(zip(header, row)) for row in rows]
+            if peaks is not None:
+                peak_header, peak_rows = self.table(peaks)
+                payload["peaks"] = [dict(zip(peak_header, row)) for row in peak_rows]
+            assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        if peaks is not None:
+            assert peaks
+            assert peaks_out.read_text() == reference.reference_csv(*self.table(peaks))
+
+
+class TestCachedParser:
+    def test_main_calls_match_fresh_processes(self, tmp_path, capsys):
+        # the parser is built once per process; each call must still behave
+        # as in a new process, with no value of a config file left behind
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta=0.7\nu_tilde_over_2pi=2\nformat=json\n")
+        calls = [
+            ["ground", "--config", str(cfg)],
+            ["ground", "--u-tilde", "1"],  # no --eta: exit 2, not the config's 0.7
+            ["ground", "--eta", "0.3", "--u-tilde", "1"],  # CSV, not the config's JSON
+            ["staircase", "--eta=-1:1:0.5", "--u-tilde", "1", "--format", "json"],
+            ["hysteresis", "--eta=0:1:0.25", "--u-tilde", "1", "--loop"],
+            ["staircase", "--eta=0:1:0", "--u-tilde", "1"],  # exit 3
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(acring.__file__).resolve().parents[1])}
+        in_process, fresh = [], []
+        for k, argv in enumerate(calls):
+            out = tmp_path / f"in-{k}.out"
+            try:
+                code = main(argv + ["--output", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+        for k, argv in enumerate(calls):
+            out = tmp_path / f"fresh-{k}.out"
+            proc = subprocess.run(
+                [sys.executable, "-m", "acring.cli", *argv, "--output", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            fresh.append((proc.returncode, proc.stderr, out.read_bytes() if out.exists() else None))
+        assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 0, 3]
+        assert in_process == fresh
+        assert in_process[0][2].startswith(b"{") and in_process[2][2].startswith(b"eta,")

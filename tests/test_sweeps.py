@@ -3,6 +3,8 @@
 import math
 import time
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -61,6 +63,62 @@ class TestEtaGrid:
             eta_grid(0.0, 1.0, 1e-9)  # rejected before 10^9 points are built
         with pytest.raises(ValueError, match="points"):
             eta_grid(0.0, 1.0, 1e-320)  # (stop - start) / step overflows to inf
+
+
+def rounded_grid(start, stop, step):
+    """eta_grid's definition, one Python round per point."""
+    return [round(start + i * step, sweeps.GRID_DECIMALS) for i in range(sweeps._grid_count(start, stop, step))]
+
+
+def same_floats(a, b):
+    """Equal bit for bit: float.hex tells -0.0 from 0.0."""
+    return list(map(float.hex, a)) == list(map(float.hex, b))
+
+
+class TestIntegerGrid:
+    """eta_grid builds rint(x * 1e12) / 1e12 and equals round(x, 12) bit for bit."""
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [
+            # x * 1e12 is exactly -6632428590565.5 at index 192: rint gives
+            # -6.632428590566, round (on the exact x) -6.632428590565
+            (-25.832428590565502, 4.2, 0.1),
+            (-3.0000000000005, -2.9999999999995, 5e-13),  # more exact negative ties
+            (-1e-10, 1e-10, 1.5e-12),
+            (-1e-12, 1e-12, 5e-13),  # a tie at -0.5e-12, which rounds to -0.0
+            (-0.5000000000005, -0.4999999999995, 1e-13),  # steps near the grid's resolution
+            (0.0, 1e-10, 1e-12),
+            (-7.123456789012, -7.12345678, 1e-12),
+            (-0.0, 1.0, 0.25),  # -0.0 + 0.0 is 0.0, as in round
+            (-2e-13, 1e-13, 1e-13),  # points that round to -0.0
+            (4503.5, 4503.7, 0.01),  # |x * 1e12| crosses 2**52: round takes over
+            (-4503.6, -4503.59, 0.001),
+            (-9000.0, -8999.99, 1e-3),
+            (1e300, 1e300, 1.0),
+        ],
+    )
+    def test_equals_round(self, start, stop, step):
+        grid = eta_grid(start, stop, step)
+        assert same_floats(grid, rounded_grid(start, stop, step))
+        assert all(type(eta) is float for eta in grid)
+
+    def test_the_named_tie_is_in_the_grid(self):
+        x = -25.832428590565502 + 192 * 0.1
+        assert x * 1e12 == -6632428590565.5 and np.rint(x * 1e12) / 1e12 == -6.632428590566
+        assert eta_grid(-25.832428590565502, 4.2, 0.1)[192] == round(x, 12) == -6.632428590565
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(
+        start=st.floats(-5000.0, 5000.0),
+        scale=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1.0]),
+        digits=st.integers(1, 9000),
+        points=st.integers(1, 300),
+    )
+    def test_random_ranges_equal_round(self, start, scale, digits, points):
+        step = digits * scale
+        stop = start + (points - 1) * step
+        assert same_floats(eta_grid(start, stop, step), rounded_grid(start, stop, step))
 
 
 class TestStaircaseAnalytic:
