@@ -197,7 +197,7 @@ def staircase_columns(spec: StaircaseSpec, settings: SolverSettings | None = Non
         winding = np.array(windings, dtype=float)
     else:
         floats = winding.tolist()
-        ints = {w: int(w) for w in set(floats)}  # one int per distinct winding, shared by its rows
+        ints = {value: int(value) for value in set(floats)}  # one int per distinct winding, shared by its rows
         windings = list(map(ints.__getitem__, floats))
         mu_eff = plane_mu(winding, etas, spec.u_tilde).tolist()
         converged = [True] * len(grid)
