@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
 from . import units
 from .reduction import (
     RingParams,
@@ -89,27 +87,6 @@ _BOOL_TEXTS = ("false", "true")
 _CHUNK_ROWS = 4096
 
 
-def _float_cells(column, conversion: str) -> tuple:
-    """(conversion, values) of a float column; where values repeat, each distinct bit pattern is converted once.
-
-    The column is one piece of a table (_CHUNK_ROWS rows at most).
-
-    The key is the bits, not the value: 0.0 and -0.0 are equal but print
-    differently.  A column without repeats keeps its floats for the row
-    template to convert.
-    """
-    bits = np.array(column, dtype=np.float64).view(np.int64)
-    ordered = np.sort(bits)
-    first = np.empty(len(ordered), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    if first.all():
-        return conversion, column
-    distinct = ordered[first]
-    texts = np.array(list(map(conversion.__mod__, distinct.view(np.float64).tolist())), dtype=object)
-    return "%s", texts[np.searchsorted(distinct, bits)]
-
-
 def _column_cells(column, csv: bool) -> tuple:
     """One column as (conversion, values) for a %-template row, writing what _fmt or _json_value writes per cell.
 
@@ -130,7 +107,7 @@ def _column_cells(column, csv: bool) -> tuple:
     if kinds <= {float, type(None)} and float in kinds and (csv or all(map(math.isfinite, floats))):
         conversion = "%.12g" if csv else "%r"  # json writes NaN, Infinity, -Infinity
         if floats is column:
-            return _float_cells(column, conversion)
+            return conversion, column
         empty = general(None)
         return "%s", [empty if value is None else conversion % value for value in column]
     return "%s", list(map(general, column))
@@ -140,18 +117,13 @@ def _rows(template: str, separator: str, columns, csv: bool):
     """The table's rows in pieces of _CHUNK_ROWS: template (one row, a %s per column) filled with the cells.
 
     Each piece converts its own slice of every column, so that no full-column
-    temporary outlives a piece; a list passed as two columns (the
-    staircase's classical_mean is its eta) is converted once per piece.  No
-    per-cell string is built for a column the row template converts itself.
+    temporary outlives a piece.  No per-cell string is built for a column
+    the row template converts itself.
     """
     width = len(columns)
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        done = {}
-        for column in columns:
-            if id(column) not in done:
-                done[id(column)] = _column_cells(column[rows], csv)
-        conversions, values = zip(*(done[id(column)] for column in columns))
+        conversions, values = zip(*(_column_cells(column[rows], csv) for column in columns))
         size = len(values[0])
         cells = [None] * (size * width)
         for j, part in enumerate(values):

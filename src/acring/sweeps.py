@@ -76,7 +76,9 @@ def eta_grid(start: float, stop: float, step: float) -> list[float]:
     rounded) lies within one ulp of a half-integer, rint could settle a tie
     the other way than the exact x would, and from |x * 1e12| = 2**52 on
     (inf included) N is no longer exact; those points use round itself.
+    Integer arguments are taken as floats, so every point is a float.
     """
+    start, step = float(start), float(step)
     x = start + np.arange(_grid_count(start, stop, step)) * step
     with np.errstate(over="ignore", invalid="ignore"):  # such points go to round below
         scaled = x * _GRID_SCALE
@@ -196,9 +198,7 @@ def staircase_columns(spec: StaircaseSpec, settings: SolverSettings | None = Non
         converged = [report.converged for report in numeric]
         winding = np.array(windings, dtype=float)
     else:
-        floats = winding.tolist()
-        ints = {value: int(value) for value in set(floats)}  # one int per distinct winding, shared by its rows
-        windings = list(map(ints.__getitem__, floats))
+        windings = list(map(int, winding.tolist()))
         mu_eff = plane_mu(winding, etas, spec.u_tilde).tolist()
         converged = [True] * len(grid)
     return {

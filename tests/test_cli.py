@@ -608,8 +608,8 @@ class TestColumnarRendering:
     ]
 
     SHARED = [0.5, -0.0, 0.5, 1 / 3, 0.0]
-    # the renderers format each distinct bit pattern once, and a list passed
-    # as two columns once: 0.0 and -0.0 are equal keys, NaNs unequal ones
+    # repeated values, 0.0 beside -0.0 (equal, but printed apart), repeated
+    # NaNs, and one list passed as two columns
     COLUMN_TABLES = [
         (["zero", "signed"], [[0.0, -0.0, 0.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0, -0.0]]),
         (["nan"], [[math.nan, 1.0, math.nan, -math.nan, math.inf, math.inf, -math.inf, 1.0]]),

@@ -103,6 +103,11 @@ class TestIntegerGrid:
         assert same_floats(grid, rounded_grid(start, stop, step))
         assert all(type(eta) is float for eta in grid)
 
+    def test_integer_arguments_give_floats(self):
+        grid = eta_grid(0, 3, 1)
+        assert grid == [0.0, 1.0, 2.0, 3.0] and all(type(eta) is float for eta in grid)
+        assert same_floats(eta_grid(10**20, 10**20, 1), [1e20])  # past int64
+
     def test_the_named_tie_is_in_the_grid(self):
         x = -25.832428590565502 + 192 * 0.1
         assert x * 1e12 == -6632428590565.5 and np.rint(x * 1e12) / 1e12 == -6.632428590566
