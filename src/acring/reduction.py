@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "TrapSetup",
     "RingParams",
@@ -114,39 +116,55 @@ def transverse_kinetic_offset(trap: TrapSetup) -> float:
     return rho0**2 * (0.25 / trap.width_rho**2 + 0.25 / trap.width_z**2)
 
 
-def _radial_profile(trap: TrapSetup):
-    """Normalized radial factor of the transverse Gaussian and its derivative."""
-    s = trap.width_rho
-    rho0 = trap.torus_radius
-    norm = (2.0 * math.pi * s**2) ** -0.25
-
-    def phi(rho: float) -> float:
-        return norm * math.exp(-((rho - rho0) ** 2) / (4.0 * s**2))
-
-    def dphi(rho: float) -> float:
-        return -(rho - rho0) / (2.0 * s**2) * phi(rho)
-
-    return phi, dphi
+# Gauss-Legendre panels on each side of rho_0 / 2, and nodes per panel: the
+# smallest rule whose error sits at the roundoff floor (10 x 20 and 12 x 18
+# leave 8.9e-14 and 6.1e-14 of integral |f| against a 64 x 400 reference)
+_RADIAL_PANELS = 10
+_RADIAL_NODES = 22
 
 
 def radial_term_diagnostic(trap: TrapSetup) -> float:
     """Size of the dropped (1/rho) d/drho term, in ring units.
 
-    Numerical quadrature of rho_0^2 * integral of Phi (1/rho) dPhi/drho over
-    the radial profile (the z factor integrates to one).  Small against
-    transverse_kinetic_offset exactly when the thin-torus condition
-    s_rho << rho_0 holds; users should check this before trusting the
-    reduction.
-    """
-    from scipy.integrate import quad  # scipy loads only when a reduction asks for this diagnostic
+    rho_0^2 times the integral of Phi (1/rho) dPhi/drho over the radial
+    profile (the z factor integrates to one), from max(rho_0 - 12 s,
+    1e-9 rho_0) to rho_0 + 12 s.  Small against transverse_kinetic_offset
+    exactly when the thin-torus condition s_rho << rho_0 holds; users should
+    check this before trusting the reduction.
 
-    phi, dphi = _radial_profile(trap)
+    The rule is composite Gauss-Legendre, 10 panels of 22 nodes a side:
+    log-spaced panels in rho from the cutoff up to rho_0 / 2 (toward the
+    cutoff the integrand goes like 1/rho), and equal panels in rho - rho_0
+    from there to rho_0 + 12 s (only these when the cutoff lies above
+    rho_0 / 2).  The
+    integral is what remains after its two signed halves, each about
+    integral |f| ~ rho_0 / s, cancel, so the accuracy is stated against
+    integral |f|: within 3e-15 of it from a 64 x 400 panel reference for
+    s_rho / rho_0 from 1e-4 to 3.  Thinner tori keep that bound, so the
+    value (about 1/2) carries an absolute error of order 1e-16 rho_0 / s:
+    about 1e-9 at s_rho / rho_0 = 1e-8.
+    """
+    from numpy.polynomial.legendre import leggauss  # loaded only when a reduction asks for this diagnostic
+
     s = trap.width_rho
     rho0 = trap.torus_radius
-    lo = max(rho0 - 12.0 * s, 1e-9 * rho0)  # keep the integrand off rho = 0
-    hi = rho0 + 12.0 * s
-    value, _ = quad(lambda r: phi(r) * dphi(r) / r, lo, hi, limit=200)
-    return rho0**2 * value
+    x, w = leggauss(_RADIAL_NODES)
+
+    def panels(edges):
+        half = 0.5 * np.diff(edges)[:, np.newaxis]
+        return (edges[:-1, np.newaxis] + half + half * x).ravel(), (half * w).ravel()
+
+    # nodes near rho_0 are placed by their offset d = rho - rho_0 and nodes
+    # near the cutoff by rho itself, so neither loses digits to a difference
+    d, weights = panels(np.linspace(-min(12.0 * s, 0.5 * rho0), 12.0 * s, _RADIAL_PANELS + 1))
+    r = rho0 + d
+    if 12.0 * s > 0.5 * rho0:
+        r_low, w_low = panels(np.geomspace(max(rho0 - 12.0 * s, 1e-9 * rho0), 0.5 * rho0, _RADIAL_PANELS + 1))
+        d = np.concatenate((r_low - rho0, d))
+        r = np.concatenate((r_low, r))
+        weights = np.concatenate((w_low, weights))
+    integrand = -d / (2.0 * s**2) * (2.0 * math.pi * s**2) ** -0.5 * np.exp(-(d**2) / (2.0 * s**2)) / r
+    return rho0**2 * float(weights @ integrand)
 
 
 def build_ring_params(trap: TrapSetup, eta: float) -> RingParams:

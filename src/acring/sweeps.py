@@ -302,7 +302,8 @@ def hysteresis_columns(eta_path, u_tilde: float, start_winding: int) -> dict[str
     the barrier is absent).  Path steps larger than 1 in eta are rejected:
     they could jump across a whole winding sector.  So are |eta| >= 2**53
     and a start_winding that a float does not hold exactly, where the walk's
-    float comparisons cannot tell neighbouring windings apart.
+    float comparisons cannot tell neighbouring windings apart, and a barrier
+    height that overflows floats (u_tilde near the float range).
     """
     if u_tilde <= 0:
         raise ValueError("hysteresis requires u_tilde > 0")
@@ -330,16 +331,20 @@ def hysteresis_columns(eta_path, u_tilde: float, start_winding: int) -> dict[str
     going_up[1:] = etas[1:] >= etas[:-1]
     winding = np.array(windings)
     neighbor_up = etas >= winding
-    x_peak, _, height_from_m, height_from_m_plus_1 = barrier_peak(
-        np.where(neighbor_up, winding, winding - 1), etas, u_tilde
-    )
-    heights = np.where(neighbor_up, height_from_m, height_from_m_plus_1).tolist()
-    interior = ((0.0 < x_peak) & (x_peak < 1.0)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
+        x_peak, _, height_from_m, height_from_m_plus_1 = barrier_peak(
+            np.where(neighbor_up, winding, winding - 1), etas, u_tilde
+        )
+    heights = np.where(neighbor_up, height_from_m, height_from_m_plus_1)
+    interior = (0.0 < x_peak) & (x_peak < 1.0)
+    finite = ~interior | np.isfinite(heights)
+    if not finite.all():
+        raise ValueError(f"eta={path[finite.argmin()]} overflows the hysteresis barrier's floats (u_tilde={u_tilde})")
     return {
         "eta": path,
         "direction": ["up" if up else "down" for up in going_up.tolist()],
         "winding": windings,
-        "barrier_height": [h if inside else None for h, inside in zip(heights, interior)],
+        "barrier_height": [h if inside else None for h, inside in zip(heights.tolist(), interior.tolist())],
     }
 
 

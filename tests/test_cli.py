@@ -479,6 +479,27 @@ class TestHysteresisCommand:
         assert err_lines == ["error: validation: start_winding must be an integer that a float holds exactly"]
         assert not out.exists()
 
+    def test_overflowing_barrier_exits_3_without_warnings(self, tmp_path, capsys):
+        # the peak's 3 u_tilde / 2 pi overflowed: it wrote barrier_height inf and exited 0
+        out = tmp_path / "h.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["hysteresis", "--eta", "0.2", "--u-tilde", "1e308", "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err_lines == ["error: validation: eta=0.2 overflows the hysteresis barrier's floats (u_tilde=1e+308)"]
+        assert not out.exists()
+
+    def test_overflow_off_the_path_is_not_reported(self, tmp_path, capsys):
+        # at a subnormal u_tilde the peak sits outside (0, 1): no barrier, and no numpy RuntimeWarning
+        out = tmp_path / "h.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["hysteresis", "--eta", "0.7", "--u-tilde", "5e-324", "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text() == "eta,direction,winding,barrier_height\n0.7,up,1,\n"
+
 
 class TestConfigAndEnvironment:
     def test_config_file_supplies_defaults(self, tmp_path):

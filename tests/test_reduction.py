@@ -6,6 +6,7 @@ transverse kinetic offset against a finite-difference + tensor-trapezoid
 quadrature of the Gaussian ansatz.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.constants import hbar
+from scipy.integrate import quad
 
 from acring import reduction
 from acring.reduction import (
@@ -135,7 +137,82 @@ class TestTransverseKineticOffset:
             _trap(width_z=-1e-6)
 
 
+def radial_integrand(r, d, r0, s):
+    """The diagnostic's integrand Phi Phi'/rho at rho = r, given also as the offset d = rho - rho0."""
+    return -d / (2.0 * s**2) * (2.0 * math.pi * s**2) ** -0.5 * np.exp(-(d**2) / (2.0 * s**2)) / r
+
+
+@functools.cache
+def gauss_legendre(nodes: int):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def radial_reference(r0: float, s: float, panels: int = 64, nodes: int = 400) -> tuple[float, float]:
+    """Oracle: (rho0^2 * integral, rho0^2 * integral of |integrand|) by a fine composite Gauss-Legendre rule.
+
+    Built apart from the library's rule, by substitution: below rho0 / 2
+    in t = ln rho (equal panels in t), above it in u = (rho - rho0) / s.
+    """
+    x, w = gauss_legendre(nodes)
+
+    def rule(a, b):
+        edges = np.linspace(a, b, panels + 1)
+        half = 0.5 * np.diff(edges)[:, np.newaxis]
+        return (edges[:-1, np.newaxis] + half + half * x).ravel(), (half * w).ravel()
+
+    u, wu = rule(-min(12.0, 0.5 * r0 / s), 12.0)
+    f = radial_integrand(r0 + s * u, s * u, r0, s) * s * wu
+    if 12.0 * s > 0.5 * r0:
+        t, wt = rule(math.log(max(r0 - 12.0 * s, 1e-9 * r0)), math.log(0.5 * r0))
+        r = np.exp(t)
+        f = np.concatenate((radial_integrand(r, r - r0, r0, s) * r * wt, f))
+    return r0**2 * float(f.sum()), r0**2 * float(np.abs(f).sum())
+
+
+def radial_by_quad(r0: float, s: float) -> float:
+    lo, hi = max(r0 - 12.0 * s, 1e-9 * r0), r0 + 12.0 * s
+    return r0**2 * quad(lambda r: radial_integrand(r, r - r0, r0, s), lo, hi, limit=200)[0]
+
+
+# s_rho / rho0 log-spaced over the thin-torus range and well past it; a
+# radius of 1 m puts rho0 on a binade edge, where nodes placed by rho alone
+# lose digits of rho - rho0
+RADIAL_RATIOS = np.geomspace(1e-4, 3.0, 40).tolist()
+RADIAL_RADII = (1e-5, 1e-3, 1.0)
+
+
 class TestRadialTermDiagnostic:
+    # the value is what is left after the integrand's two signed halves, each
+    # about integral |f| ~ rho0 / s, cancel, so every bound is taken against
+    # integral |f| and not against the value
+
+    def test_matches_fine_composite_reference(self):
+        for r0 in RADIAL_RADII:
+            for ratio in RADIAL_RATIOS:
+                value, scale = radial_reference(r0, ratio * r0)
+                got = radial_term_diagnostic(_trap(torus_radius=r0, width_rho=ratio * r0))
+                assert abs(got - value) <= 1e-13 * scale, (r0, ratio)
+
+    def test_matches_scipy_quad(self):
+        for r0 in RADIAL_RADII:
+            for ratio in RADIAL_RATIOS:
+                _, scale = radial_reference(r0, ratio * r0)
+                got = radial_term_diagnostic(_trap(torus_radius=r0, width_rho=ratio * r0))
+                assert abs(got - radial_by_quad(r0, ratio * r0)) <= 1e-10 * scale, (r0, ratio)
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.5, 1.0])
+    def test_wide_torus_that_one_panel_misses(self, ratio):
+        # the integrand's 1/rho toward the 1e-9 rho0 cutoff defeats a single
+        # Gauss-Legendre panel over the whole range once s_rho / rho0 >= 0.2
+        r0, s = 1e-3, ratio * 1e-3
+        value, scale = radial_reference(r0, s)
+        x, w = gauss_legendre(64)
+        lo, hi = max(r0 - 12.0 * s, 1e-9 * r0), r0 + 12.0 * s
+        r = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        one_panel = r0**2 * 0.5 * (hi - lo) * float(w @ radial_integrand(r, r - r0, r0, s))
+        assert abs(one_panel - value) > 1e-2 * scale
+        assert abs(radial_term_diagnostic(_trap(torus_radius=r0, width_rho=s)) - value) <= 1e-13 * scale
+
     def test_thin_torus_value_is_half(self):
         # by parts the dropped term equals rho0^2 <1/(2 rho^2)> -> 1/2
         trap = _trap(width_rho=1e-6, torus_radius=1e-3)
@@ -191,10 +268,38 @@ def test_hbar_equals_scipy_bit_for_bit():
     assert reduction.hbar == hbar
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported on first use of the quadrature diagnostic only
+# one invocation of every subcommand; numeric ones on small inputs
+EVERY_SUBCOMMAND = [
+    ["estimate", "--geometry", "line", "--eta-target", "1", "--g-f", "1"],
+    ["reduce", "--atoms", "1e6", "--scattering-length", "2.75e-9", "--mass", "3.8175e-26",
+     "--radius", "1e-3", "--width-rho", "1e-5", "--width-z", "1e-5", "--eta", "0.5"],
+    ["ground", "--eta", "0.7", "--u-tilde-over-2pi", "2"],
+    ["solve", "--eta", "0.7", "--u-tilde-over-2pi", "2", "--global"],
+    ["staircase", "--eta", "0:1:0.5", "--u-tilde-over-2pi", "2", "--mode", "numeric"],
+    ["landscape", "--m", "0", "--eta", "0.3", "--u-tilde", "1", "--x-step", "0.5", "--peaks-output", "peaks.csv"],
+    ["hysteresis", "--eta", "0:1:0.5", "--loop", "--u-tilde-over-2pi", "0.2"],
+]
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test-only oracle: importing the CLI loads none of it, and
+    # with scipy made unimportable every subcommand still runs
     src = os.path.dirname(os.path.dirname(reduction.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, acring.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    loaded = "sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None)"
+    code = f"import sys, acring.cli; print({loaded})"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None  # every import of scipy now raises ImportError",
+        "from acring.cli import main",
+        f"codes = [main(argv + ['--output', 'out' + str(i)]) for i, argv in enumerate({EVERY_SUBCOMMAND!r})]",
+        f"print(codes, {loaded})",
+    ])
+    env.pop("ACRING_OUTPUT_DIR", None)  # the relative outputs land in tmp_path
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"{[0] * len(EVERY_SUBCOMMAND)} []"
+    assert {path.name for path in tmp_path.iterdir()} == {"peaks.csv"} | {f"out{i}" for i in range(len(EVERY_SUBCOMMAND))}
