@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 from . import units
 from .reduction import (
     RingParams,
@@ -55,7 +57,7 @@ class RunConfig:
 
 @dataclass
 class CommandResult:
-    """A subcommand's table: one column (a list) per header name, and the JSON-only extras."""
+    """A subcommand's table: one column per header name (an array or a (values, index) pair), and the JSON-only extras."""
 
     header: list
     columns: list
@@ -80,61 +82,68 @@ def _json_value(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n      ")
 
 
-_BOOL_TEXTS = ("false", "true")
 # Rows per rendered piece.  A piece converts its own slice of each column and
 # is written before the next is built, so neither the file nor a full-column
 # temporary is ever held whole: memory stays near the columns themselves.
 _CHUNK_ROWS = 4096
 
 
-def _column_cells(column, csv: bool) -> tuple:
-    """One column as (conversion, values) for a %-template row, writing what _fmt or _json_value writes per cell.
+def _length(column) -> int:
+    return len(column[1] if isinstance(column, tuple) else column)
 
-    A column whose values all have one type (floats possibly mixed with
-    None, the empty cell) is converted as a whole; '%.12g' % x is
-    format(x, '.12g'), '%r' % x is repr(x) and '%d' % n is repr(n).  Any
-    other column goes value by value through the general function.
+
+def _column_cells(column, csv: bool) -> tuple:
+    """One column as (conversion, take) for a %-template row; take(rows) lists the values conversion writes.
+
+    A column is a numpy array, or a (values, index) pair whose cells are
+    values[index], an index of len(values) being the empty cell (None).  The
+    dtype picks the conversion once per table: floats '%.12g' (CSV) or '%r'
+    (JSON), integers '%d', and the template converts a piece's .tolist()
+    itself ('%.12g' % x is format(x, '.12g'), '%r' % x is repr(x) and '%d' %
+    n is repr(n)).  A pair's values are written once, and its pieces pick
+    the texts; a bool column is the pair over (False, True).  Any other
+    dtype, and a JSON float column holding NaN or infinities (json writes
+    NaN, Infinity, -Infinity), goes cell by cell through _fmt or
+    _json_value.
     """
     general = _fmt if csv else _json_value
-    kinds = set(map(type, column))
-    if kinds == {int}:
-        return "%d", column
-    if kinds == {bool}:
-        return "%s", list(map(_BOOL_TEXTS.__getitem__, column))
-    if kinds == {str}:
-        return "%s", column if csv else list(map(json.encoder.encode_basestring_ascii, column))
-    floats = [value for value in column if value is not None] if kinds == {float, type(None)} else column
-    if kinds <= {float, type(None)} and float in kinds and (csv or all(map(math.isfinite, floats))):
-        conversion = "%.12g" if csv else "%r"  # json writes NaN, Infinity, -Infinity
-        if floats is column:
-            return conversion, column
-        empty = general(None)
-        return "%s", [empty if value is None else conversion % value for value in column]
-    return "%s", list(map(general, column))
+    if isinstance(column, tuple):
+        values, index = column
+        conversion, take = _column_cells(values, csv)
+        texts = np.array([*map(conversion.__mod__, take(slice(None))), general(None)], dtype=object)
+        return "%s", lambda rows: texts[index[rows]].tolist()
+    kind = column.dtype.kind
+    if kind == "b":
+        return _column_cells((np.array([False, True], dtype=object), column.view(np.int8)), csv)
+    if kind in "iu" or kind == "f" and (csv or np.isfinite(column).all()):
+        return "%d" if kind in "iu" else "%.12g" if csv else "%r", lambda rows: column[rows].tolist()
+    return "%s", lambda rows: list(map(general, column[rows].tolist()))
 
 
 def _rows(template: str, separator: str, columns, csv: bool):
     """The table's rows in pieces of _CHUNK_ROWS: template (one row, a %s per column) filled with the cells.
 
-    Each piece converts its own slice of every column, so that no full-column
+    Each piece takes its own slice of every column, so that no full-column
     temporary outlives a piece.  No per-cell string is built for a column
     the row template converts itself.
     """
+    conversions, takes = zip(*(_column_cells(column, csv) for column in columns))
+    row = template % conversions
     width = len(columns)
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+    for start in range(0, _length(columns[0]), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        conversions, values = zip(*(_column_cells(column[rows], csv) for column in columns))
+        values = [take(rows) for take in takes]
         size = len(values[0])
         cells = [None] * (size * width)
         for j, part in enumerate(values):
             cells[j::width] = part
-        yield (separator if start else "") + separator.join([template % conversions] * size) % tuple(cells)
+        yield (separator if start else "") + separator.join([row] * size) % tuple(cells)
 
 
 def _render_csv(header, columns):
     """CSV text in pieces, formatted column by column; the bytes of one _fmt call per cell."""
     yield ",".join(header) + "\n"
-    if columns and len(columns[0]):
+    if columns and _length(columns[0]):
         yield from _rows(",".join(["%s"] * len(columns)), "\n", columns, csv=True)
         yield "\n"
 
@@ -151,7 +160,7 @@ def _render_json(config: RunConfig, result: CommandResult):
     head, _, tail = json.dumps(payload, sort_keys=True, indent=2).partition('\n  "rows": []')
     yield head + '\n  "rows": '
     columns = result.columns
-    if columns and len(columns[0]):
+    if columns and _length(columns[0]):
         position = {name: i for i, name in enumerate(result.header)}  # a repeated name keeps its last column
         names = sorted(position)
         keys = ["\n      " + json.dumps(name).replace("%", "%%%%") + ": %s" for name in names]
@@ -268,7 +277,7 @@ def _run_estimate(p: dict) -> CommandResult:
         setup = units.CrossedFieldSetup(p["polarizability"], p["charges_per_bohr"], p["b_field"])
         header = ["geometry", "polarizability_a0cubed", "charges_per_bohr", "b_gauss", "eta"]
         row = ["crossed", p["polarizability"], p["charges_per_bohr"], p["b_field"], units.eta_cross_field(setup)]
-    return CommandResult(header=header, columns=[[value] for value in row])
+    return CommandResult(header=header, columns=[np.array([value]) for value in row])
 
 
 def _run_reduce(p: dict) -> CommandResult:
@@ -298,7 +307,7 @@ def _run_reduce(p: dict) -> CommandResult:
         radial_term_diagnostic(trap),
         trap.energy_unit,
     ]
-    return CommandResult(header=header, columns=[[value] for value in row])
+    return CommandResult(header=header, columns=[np.array([value]) for value in row])
 
 
 def _run_ground(p: dict) -> CommandResult:
@@ -313,7 +322,7 @@ def _run_ground(p: dict) -> CommandResult:
         result.mu_eff,
         mu_total(result.mu_eff, params),
     ]
-    return CommandResult(header=header, columns=[[value] for value in row])
+    return CommandResult(header=header, columns=[np.array([value]) for value in row])
 
 
 def _run_solve(p: dict) -> CommandResult:
@@ -357,7 +366,7 @@ def _run_solve(p: dict) -> CommandResult:
         report.iterations,
         report.converged,
     ]
-    return CommandResult(header=header, columns=[[value] for value in row], convergence_failures=failures)
+    return CommandResult(header=header, columns=[np.array([value]) for value in row], convergence_failures=failures)
 
 
 def _run_staircase(p: dict) -> CommandResult:
@@ -372,17 +381,21 @@ def _run_staircase(p: dict) -> CommandResult:
     )
     settings = _build_settings(p, default_noise=1e-3) if spec.mode == "numeric" else None
     columns = staircase_columns(spec, settings)
-    unconverged = [eta for eta, ok in zip(columns["eta"], columns.pop("converged")) if not ok]
+    converged = columns.pop("converged")
+    if converged.all():
+        return CommandResult(list(columns), list(columns.values()))
+    unconverged = columns["eta"][~converged].tolist()
     failures = [f"eta={eta}" for eta in unconverged]
-    extras = {"unconverged_etas": unconverged} if failures else {}
-    return CommandResult(list(columns), list(columns.values()), extras=extras, convergence_failures=failures)
+    return CommandResult(
+        list(columns), list(columns.values()), extras={"unconverged_etas": unconverged}, convergence_failures=failures
+    )
 
 
 def _run_landscape(p: dict) -> CommandResult:
     points, peaks = landscape_columns(p["m"], p["eta"], _interaction(p), p["x_step"])
     if p["peaks_output"] is not None:
         _write_text(p["peaks_output"], _render_csv(list(peaks), list(peaks.values())))
-    extras = {"peaks": [dict(zip(peaks, row)) for row in zip(*peaks.values())]}
+    extras = {"peaks": [dict(zip(peaks, row)) for row in zip(*(column.tolist() for column in peaks.values()))]}
     return CommandResult(list(points), list(points.values()), extras=extras)
 
 

@@ -17,6 +17,7 @@ reported but never influences which winding number wins.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 hbar = 6.62607015e-34 / (2 * math.pi)  # J s, exact SI Planck constant; equals scipy.constants.hbar
+_NORMAL_MIN = sys.float_info.min  # least positive normal float
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,15 @@ class TrapSetup:
         if self.atom_mass <= 0:
             raise ValueError("atom_mass must be > 0")
         for name in ("torus_radius", "width_rho", "width_z"):
-            if getattr(self, name) <= 0:
+            length = getattr(self, name)
+            if length <= 0:
                 raise ValueError(f"{name} must be > 0")
+            # the reduction squares the lengths and divides by the squares
+            if not _NORMAL_MIN <= length * length < math.inf:
+                raise ValueError(f"{name} must lie within about 1.5e-154 to 1.3e154 m, where its square is a normal float")
+        denominator = 2.0 * self.atom_mass * self.torus_radius * self.torus_radius
+        if not _NORMAL_MIN <= denominator < math.inf or not hbar**2 / denominator >= _NORMAL_MIN:
+            raise ValueError("atom_mass and torus_radius put the energy unit hbar^2 / (2 M rho_0^2) outside the floats")
 
     @property
     def energy_unit(self) -> float:

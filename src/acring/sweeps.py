@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -66,6 +65,19 @@ def _grid_count(start: float, stop: float, step: float) -> int:
     return int(math.floor(span)) + 1
 
 
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """eta_grid as a float64 array."""
+    start, step = float(start), float(step)
+    x = start + np.arange(_grid_count(start, stop, step)) * step
+    with np.errstate(over="ignore", invalid="ignore"):  # such points go to round below
+        scaled = x * _GRID_SCALE
+        grid = np.rint(scaled) / _GRID_SCALE
+        near_tie = np.abs(scaled - np.floor(scaled) - 0.5) <= np.abs(np.spacing(scaled))
+    exact = np.flatnonzero(near_tie | ~(np.abs(scaled) < 2.0**52))
+    grid[exact] = [round(value, GRID_DECIMALS) for value in x[exact].tolist()]
+    return grid
+
+
 def eta_grid(start: float, stop: float, step: float) -> list[float]:
     """Inclusive grid from start to stop; endpoint within half-step tolerance.
 
@@ -78,15 +90,7 @@ def eta_grid(start: float, stop: float, step: float) -> list[float]:
     (inf included) N is no longer exact; those points use round itself.
     Integer arguments are taken as floats, so every point is a float.
     """
-    start, step = float(start), float(step)
-    x = start + np.arange(_grid_count(start, stop, step)) * step
-    with np.errstate(over="ignore", invalid="ignore"):  # such points go to round below
-        scaled = x * _GRID_SCALE
-        grid = np.rint(scaled) / _GRID_SCALE
-        near_tie = np.abs(scaled - np.floor(scaled) - 0.5) <= np.abs(np.spacing(scaled))
-    exact = np.flatnonzero(near_tie | ~(np.abs(scaled) < 2.0**52))
-    grid[exact] = [round(value, GRID_DECIMALS) for value in x[exact].tolist()]
-    return grid.tolist()
+    return _grid(start, stop, step).tolist()
 
 
 @dataclass(frozen=True)
@@ -177,177 +181,241 @@ def _float_exact(name: str, winding: int) -> None:
         raise ValueError(f"{name} must be an integer that a float holds exactly")
 
 
-def staircase_columns(spec: StaircaseSpec, settings: SolverSettings | None = None) -> dict[str, list]:
-    """The staircase as SweepRecord's field names mapped to plain lists, in field order.
+def _integers(values: np.ndarray) -> np.ndarray:
+    """Integer-valued floats as int64, or past int64's range as Python ints in an object array.
 
-    The closed forms are evaluated on the whole grid at once.  Numeric mode
-    relaxes every point of the grid in one multi-point search
-    (global_grounds, in bounded chunks).  Non-convergence at a point does
-    not abort the sweep: the best attempt is recorded with converged=False.
-    Rows come out in eta order; classical_mean is the eta list itself.
+    The object dtype is asked for: np.array of Python ints picks float64 for
+    a mix such as [-1, 2**63], and would drop digits.
+    """
+    if np.abs(values).max(initial=0.0) < 2.0**63:
+        return values.astype(np.int64)
+    return np.array(list(map(int, values.tolist())), dtype=object)
+
+
+def _cells(column) -> list:
+    """A column's cells as Python values; a (values, index) pair gives values[index], None where index is len(values)."""
+    if isinstance(column, tuple):
+        values, index = column
+        return np.append(values.astype(object), None)[index].tolist()
+    return column.tolist()
+
+
+def staircase_columns(spec: StaircaseSpec, settings: SolverSettings | None = None) -> dict[str, np.ndarray]:
+    """The staircase as SweepRecord's field names mapped to arrays, in field order.
+
+    eta, classical_mean, thermal_mean and mu_eff are float64; winding_T0 is
+    int64 (an object array of Python ints past int64's range, as at
+    eta = 1e300); degenerate and converged are bool.  The closed forms are
+    evaluated on the whole grid at once.  Numeric mode relaxes every point
+    of the grid in one multi-point search (global_grounds, in bounded
+    chunks).  Non-convergence at a point does not abort the sweep: the best
+    attempt is recorded with converged=False.  Rows come out in eta order;
+    classical_mean is the eta array itself.
     """
     w = spec.condensate_weight
-    grid = eta_grid(spec.eta_start, spec.eta_stop, spec.eta_step)
+    etas = _grid(spec.eta_start, spec.eta_stop, spec.eta_step)
     _finite("u_tilde", spec.u_tilde)
-    etas = np.array(grid)
     winding, degenerate = nearest_winding(etas)
     if spec.mode == "numeric":
-        numeric = global_grounds([RingParams(eta=eta, u_tilde=spec.u_tilde) for eta in grid], settings)
-        windings = [report.winding for report in numeric]
-        mu_eff = [report.mu for report in numeric]
-        converged = [report.converged for report in numeric]
-        winding = np.array(windings, dtype=float)
+        numeric = global_grounds([RingParams(eta=eta, u_tilde=spec.u_tilde) for eta in etas.tolist()], settings)
+        windings = np.array([report.winding for report in numeric])
+        mu_eff = np.array([report.mu for report in numeric])
+        converged = np.array([report.converged for report in numeric])
+        winding = windings.astype(float)
     else:
-        windings = list(map(int, winding.tolist()))
-        mu_eff = plane_mu(winding, etas, spec.u_tilde).tolist()
-        converged = [True] * len(grid)
+        windings = _integers(winding)
+        mu_eff = plane_mu(winding, etas, spec.u_tilde)
+        converged = np.ones(len(etas), dtype=bool)
     return {
-        "eta": grid,
+        "eta": etas,
         "winding_T0": windings,
-        "classical_mean": grid,
-        "thermal_mean": (w * winding + (1.0 - w) * etas).tolist(),
+        "classical_mean": etas,
+        "thermal_mean": w * winding + (1.0 - w) * etas,
         "mu_eff": mu_eff,
-        "degenerate": degenerate.tolist(),
+        "degenerate": degenerate,
         "converged": converged,
     }
 
 
 def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> list[SweepRecord]:
     """Sweep eta and record the ground winding plus the thermal average (see staircase_columns)."""
-    return list(map(SweepRecord, *staircase_columns(spec, settings).values()))
+    return list(map(SweepRecord, *map(_cells, staircase_columns(spec, settings).values())))
 
 
 def landscape_columns(m: int, eta_values, u_tilde: float, x_step: float) -> tuple[dict, dict]:
-    """The landscape as (points, peaks): LandscapePoint's and LandscapePeak's field names mapped to lists.
+    """The landscape as (points, peaks): LandscapePoint's and LandscapePeak's field names mapped to columns.
 
     Tabulates mu_mixed over x in [0, 1] for the winding pair (m, m+1); for
     every eta whose barrier peak lies strictly inside (0, 1) a peak row
-    records its location, value, and the climb from either endpoint.  More
-    than MAX_GRID_POINTS points in all are rejected before any is computed,
-    and so is an x_step whose grid ends past x = 1 (eta_grid keeps an
-    endpoint within half a step: 0.4 gives 0, 0.4, 0.8, 1.2), and an m that
-    a float does not hold exactly.  So is a table whose values overflow
-    floats (|eta - m| past about 1e154, or u_tilde near the float range),
-    before any row is built.
+    records its location, value, and the climb from either endpoint.  Every
+    column is float64.  The points' eta and x repeat by construction, so
+    they come as (values, index) pairs whose cells are values[index]: eta
+    is (etas, each index repeated once per mixing point), x is (mixing
+    grid, its indices tiled once per eta).  More than MAX_GRID_POINTS points
+    in all are rejected before any is computed, and so is an x_step whose
+    grid ends past x = 1 (eta_grid keeps an endpoint within half a step:
+    0.4 gives 0, 0.4, 0.8, 1.2), and an m that a float does not hold
+    exactly.  So is a table whose values overflow floats (|eta - m| past
+    about 1e154, or u_tilde near the float range), before any row is built.
     """
     if x_step <= 0:
         raise ValueError("x_step must be > 0")
     if u_tilde <= 0:
         raise ValueError("landscape requires u_tilde > 0")
-    eta_values = list(eta_values)
-    if len(eta_values) * _grid_count(0.0, 1.0, x_step) > MAX_GRID_POINTS:
+    etas = np.array(list(eta_values), dtype=float)
+    if len(etas) * _grid_count(0.0, 1.0, x_step) > MAX_GRID_POINTS:
         raise ValueError(
             f"landscape would exceed {MAX_GRID_POINTS} points (eta values x mixing steps); increase a step"
         )
-    xs = eta_grid(0.0, 1.0, x_step)
+    xs = _grid(0.0, 1.0, x_step)
     if xs[-1] > 1.0:
         raise ValueError(f"x_step {x_step} puts the last mixing point at {xs[-1]}, outside [0, 1]")
-    etas = np.array(eta_values, dtype=float)
     _finite("eta", etas)
     _finite("u_tilde", u_tilde)
     _float_exact("m", m)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
-        mu = two_mode_mu(m, np.array(xs), etas[:, np.newaxis], u_tilde)
+        mu = two_mode_mu(m, xs, etas[:, np.newaxis], u_tilde)
         x_peak, *values = barrier_peak(m, etas, u_tilde)
     interior = (0.0 < x_peak) & (x_peak < 1.0)
     finite = np.isfinite(mu).all(axis=1) & (~interior | np.isfinite(values).all(axis=0))
     if not finite.all():
-        raise ValueError(f"eta={eta_values[finite.argmin()]} overflows the landscape's floats (u_tilde={u_tilde})")
+        raise ValueError(f"eta={etas[finite.argmin()]} overflows the landscape's floats (u_tilde={u_tilde})")
     points = {
-        "eta": [eta for eta in eta_values for _ in xs],
-        "x": xs * len(eta_values),
-        "mu_eff": mu.ravel().tolist(),
+        "eta": (etas, np.repeat(np.arange(len(etas)), len(xs))),
+        "x": (xs, np.tile(np.arange(len(xs)), len(etas))),
+        "mu_eff": mu.ravel(),
     }
     peak_names = ("eta", "x_peak", "mu_peak", "height_from_m", "height_from_m_plus_1")
-    peak_columns = [list(compress(eta_values, interior.tolist()))] + [v[interior].tolist() for v in (x_peak, *values)]
-    return points, dict(zip(peak_names, peak_columns))
+    return points, {name: v[interior] for name, v in zip(peak_names, (etas, x_peak, *values))}
 
 
 def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeResult:
     """Two-mode energy surface mu(x) for each eta, with barrier peaks marked (see landscape_columns)."""
     points, peaks = landscape_columns(m, eta_values, u_tilde, x_step)
-    return LandscapeResult(list(map(LandscapePoint, *points.values())), list(map(LandscapePeak, *peaks.values())))
+    return LandscapeResult(
+        list(map(LandscapePoint, *map(_cells, points.values()))),
+        list(map(LandscapePeak, *map(_cells, peaks.values()))),
+    )
 
 
-def _settled_winding(m: int, eta: float, u_tilde: float) -> int:
-    """Slide the winding while the barrier toward the favored neighbor is gone.
+def _up(m: np.ndarray) -> np.ndarray:
+    """The next integer-valued float above m: m + 1, or past 2**53 (where m + 1 == m) the next float."""
+    return np.maximum(m + 1.0, np.nextafter(m, np.inf))
 
-    The two-mode path from m toward m+1 loses its interior peak (and becomes
-    monotone downhill) once eta - m >= 1/2 + u_tilde/(2 pi); mirrored for the
-    path toward m-1.  A slide jumps to floor(eta - half_window) - 1
-    (ceil(eta + half_window) + 1 going down) when the step comparison
-    confirms that the winding still slides there, which holds whenever
-    |eta| < 2**53; single steps take the rest, so a point exactly on a
-    window edge settles as in a walk of single steps.
+
+def _down(m: np.ndarray) -> np.ndarray:
+    """The next integer-valued float below m (see _up)."""
+    return np.minimum(m - 1.0, np.nextafter(m, -np.inf))
+
+
+def _window_edges(etas: np.ndarray, half_window: float) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): the least and the greatest integer-valued float m with eta - m < half_window and m - eta < half_window.
+
+    These are where a walk of single steps stops: up while eta - m >=
+    half_window, down while m - eta >= half_window.  The closed forms
+    floor(eta - half_window) + 1 and ceil(eta + half_window) - 1 are
+    corrected by those same float comparisons, one step at a time, so each
+    edge sits exactly where the comparisons put it.  A step goes to the
+    neighbouring integer-valued float (_up, _down), so the corrections end
+    also where eta +- half_window lies past 2**53 and m + 1 == m.
     """
-    half_window = 0.5 + u_tilde / TWO_PI
-    while True:
-        if eta - m >= half_window:
-            jump = math.floor(eta - half_window) - 1
-            m = jump if m < jump and eta - jump >= half_window else m + 1
-        elif m - eta >= half_window:
-            jump = math.ceil(eta + half_window) + 1
-            m = jump if m > jump and jump - eta >= half_window else m - 1
-        else:
-            return m
+    low = np.floor(etas - half_window) + 1.0
+    high = np.ceil(etas + half_window) - 1.0
+    for edge, inward, outward, inside in (
+        (low, _up, _down, lambda m: etas - m < half_window),
+        (high, _down, _up, lambda m: m - etas < half_window),
+    ):
+        while (more := inside(beyond := outward(edge))).any():
+            edge[more] = beyond[more]
+        while (out := ~inside(edge)).any():
+            edge[out] = inward(edge)[out]
+    return low, high
 
 
-def hysteresis_columns(eta_path, u_tilde: float, start_winding: int) -> dict[str, list]:
-    """The hysteresis walk as HysteresisRecord's field names mapped to plain lists, in field order.
+def _walk(etas: np.ndarray, u_tilde: float, start_winding: int) -> tuple[np.ndarray, np.ndarray]:
+    """(going_up, winding): the direction at each point of the path and the winding settled there, as floats.
+
+    The settled winding is the clamp clip(m, low, high) of the incoming
+    winding m to the window edges of _window_edges.  On a run of rising eta
+    the edges only rise, so after the run's first point the winding is
+    max(entry, low), low's running maximum; falling runs mirror it with
+    high.  Only the runs' entries are carried from run to run in Python.
+    Where 1/2 + u_tilde/(2 pi) rounds to 1/2 at a half-integer eta, the
+    window is empty in floats (low = high + 1): a winding on either edge
+    keeps its value, the answer of exact arithmetic, and one beyond both
+    settles on the nearer.
+    """
+    going_up = np.empty(len(etas), dtype=bool)
+    going_up[0] = len(etas) == 1 or etas[1] >= etas[0]
+    going_up[1:] = etas[1:] >= etas[:-1]
+    low, high = _window_edges(etas, 0.5 + u_tilde / TWO_PI)
+    low, high = np.minimum(low, high), np.maximum(low, high)  # an empty window keeps both edges
+    ends = [*(np.flatnonzero(going_up[1:] != going_up[:-1]) + 1).tolist(), len(etas)]
+    starts = [0, *ends[:-1]]
+    last = [end - 1 for end in ends]
+    entries, m = [], float(start_winding)
+    for up, low_first, high_first, low_last, high_last in zip(
+        going_up[starts].tolist(), low[starts].tolist(), high[starts].tolist(), low[last].tolist(), high[last].tolist()
+    ):
+        m = min(max(m, low_first), high_first)
+        entries.append(m)
+        m = max(m, low_last) if up else min(m, high_last)
+    entry = np.repeat(entries, np.diff([0, *ends]))
+    winding = np.where(going_up, np.maximum(entry, low), np.minimum(entry, high))
+    return going_up, winding
+
+
+def hysteresis_columns(eta_path, u_tilde: float, start_winding: int) -> dict:
+    """The hysteresis walk as HysteresisRecord's field names mapped to columns, in field order.
 
     At each point the current winding m survives while the two-mode barrier
     toward the adjacent lower-mu winding still has an interior peak; once the
-    peak leaves (0, 1) the state slides to that neighbor.  Emits the settled
-    winding and the barrier height toward the favored neighbor (None where
-    the barrier is absent).  Path steps larger than 1 in eta are rejected:
-    they could jump across a whole winding sector.  So are |eta| >= 2**53
-    and a start_winding that a float does not hold exactly, where the walk's
-    float comparisons cannot tell neighbouring windings apart, and a barrier
-    height that overflows floats (u_tilde near the float range).
+    peak leaves (0, 1) the state slides to that neighbor (see _walk).
+
+    eta is float64, direction a (values, index) pair over ("up", "down"),
+    winding int64 (Python ints in an object array past int64's range) and
+    barrier_height, the height toward the favored neighbor, a pair over the
+    interior heights whose index len(values) marks an absent barrier (None).
+    Path steps larger than 1 in eta are rejected: they could jump across a
+    whole winding sector.  So are |eta| >= 2**53 and a start_winding that a
+    float does not hold exactly, where the walk's float comparisons cannot
+    tell neighbouring windings apart, and a barrier height that overflows
+    floats (u_tilde near the float range).
     """
     if u_tilde <= 0:
         raise ValueError("hysteresis requires u_tilde > 0")
-    path = [float(e) for e in eta_path]
-    if not path:
+    etas = np.array(list(eta_path), dtype=float)
+    if not len(etas):
         raise ValueError("eta_path must be non-empty")
-    for a, b in zip(path, path[1:]):
-        if abs(b - a) > 1.0 + 1e-12:
+    with np.errstate(invalid="ignore"):  # inf - inf; non-finite etas are reported below
+        if (np.abs(np.diff(etas)) > 1.0 + 1e-12).any():
             raise ValueError("eta path step exceeds 1; winding sectors could be skipped")
-
-    etas = np.array(path)
     _finite("eta", etas)
     _finite("u_tilde", u_tilde)
     if np.abs(etas).max() >= 2.0**53:  # past it floats skip integers, and the walk could not finish
         raise ValueError("hysteresis needs |eta| < 2**53, where floats hold every integer")
     _float_exact("start_winding", start_winding)
 
-    windings = []
-    m = start_winding
-    for eta in path:
-        m = _settled_winding(m, eta, u_tilde)
-        windings.append(m)
-    going_up = np.empty(len(path), dtype=bool)
-    going_up[0] = len(path) == 1 or path[1] >= path[0]
-    going_up[1:] = etas[1:] >= etas[:-1]
-    winding = np.array(windings)
+    going_up, winding = _walk(etas, u_tilde, start_winding)
     neighbor_up = etas >= winding
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
         x_peak, _, height_from_m, height_from_m_plus_1 = barrier_peak(
-            np.where(neighbor_up, winding, winding - 1), etas, u_tilde
+            np.where(neighbor_up, winding, winding - 1.0), etas, u_tilde
         )
     heights = np.where(neighbor_up, height_from_m, height_from_m_plus_1)
     interior = (0.0 < x_peak) & (x_peak < 1.0)
     finite = ~interior | np.isfinite(heights)
     if not finite.all():
-        raise ValueError(f"eta={path[finite.argmin()]} overflows the hysteresis barrier's floats (u_tilde={u_tilde})")
+        raise ValueError(f"eta={etas[finite.argmin()]} overflows the hysteresis barrier's floats (u_tilde={u_tilde})")
+    inside = np.flatnonzero(interior)
     return {
-        "eta": path,
-        "direction": ["up" if up else "down" for up in going_up.tolist()],
-        "winding": windings,
-        "barrier_height": [h if inside else None for h, inside in zip(heights.tolist(), interior.tolist())],
+        "eta": etas,
+        "direction": (np.array(["up", "down"]), np.logical_not(going_up).view(np.int8)),
+        "winding": _integers(winding),
+        "barrier_height": (heights[inside], np.where(interior, np.cumsum(interior) - 1, len(inside))),
     }
 
 
 def hysteresis(eta_path, u_tilde: float, start_winding: int) -> list[HysteresisRecord]:
     """Walk eta along a path, carrying the winding through metastable plateaus (see hysteresis_columns)."""
-    return list(map(HysteresisRecord, *hysteresis_columns(eta_path, u_tilde, start_winding).values()))
+    return list(map(HysteresisRecord, *map(_cells, hysteresis_columns(eta_path, u_tilde, start_winding).values())))

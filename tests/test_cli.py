@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import acring
@@ -501,6 +502,82 @@ class TestHysteresisCommand:
         assert out.read_text() == "eta,direction,winding,barrier_height\n0.7,up,1,\n"
 
 
+    def test_vanishing_u_tilde_at_half_integers_ends(self, tmp_path):
+        # 1/2 + u_tilde/(2 pi) rounds to 1/2: the walk flipped between the two edge windings forever.
+        # Run in a child process, so that a hang fails the test instead of stopping the suite.
+        cases = [
+            (eta, u_tilde, start)
+            for eta in ("0.5", "-1.5", "2.5")
+            for u_tilde in ("1e-17", "5e-324")
+            for start in (-9, math.floor(float(eta)), math.ceil(float(eta)), 9)  # below, on and above the window
+        ]
+        script = "\n".join([
+            "import sys, warnings",
+            "warnings.simplefilter('error')",
+            "from acring.cli import main",
+            "for k, (eta, u, start) in enumerate(%r):" % cases,
+            "    code = main(['hysteresis', '--eta=' + eta, '--u-tilde', u, '--start-winding=%d' % start, '--output', 'h%d.csv' % k])",
+            "    print(code)",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(acring.__file__).resolve().parents[1])}
+        env.pop("ACRING_OUTPUT_DIR", None)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.stderr == "" and proc.stdout.split() == ["0"] * len(cases)
+        for k, (eta, _, start) in enumerate(cases):
+            below, above = math.floor(float(eta)), math.ceil(float(eta))
+            settled = min(max(start, below), above)  # either edge keeps its value; beyond both, the nearer
+            header, rows = read_csv(tmp_path / f"h{k}.csv")
+            assert rows[0][:3] == [eta, "up", str(settled)]
+
+    def test_start_winding_past_int64_prints_its_digits(self, tmp_path, capsys):
+        # an int64-overflowing winding reached barrier_peak as an object array: TypeError, exit 1
+        out = tmp_path / "h.csv"
+        code = main(["hysteresis", "--eta", "0", "--u-tilde", "1e30", "--start-winding", str(2**70), "--output", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        (row,) = read_csv(out)[1]
+        assert row[:3] == ["0", "up", "1180591620717411303424"]
+        assert float(row[3]) > 0
+        assert main(["hysteresis", "--eta", "0", "--u-tilde", "1e30", "--start-winding", str(2**70),
+                     "--format", "json", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"][0]["winding"] == 2**70
+
+    def test_window_past_2_53_keeps_the_bytes(self, tmp_path):
+        # the window edges eta +- half_window lie past 2**53, where edge + 1 == edge in floats
+        out = tmp_path / "h.csv"
+        assert main(["hysteresis", "--eta", "0.2", "--u-tilde", "1e17", "--output", str(out)]) == 0
+        assert out.read_text() == "eta,direction,winding,barrier_height\n0.2,up,0,7.95774715459e+15\n"
+
+
+class TestReduceCommand:
+    ARGV = ["reduce", "--atoms", "1e6", "--scattering-length", "2.75e-9", "--mass", "3.8175e-26",
+            "--radius", "1e-3", "--width-rho", "1e-5", "--width-z", "1e-5"]
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            # 0.25 / width_rho**2 divided by an underflowed zero: exit 4 "float division by zero"
+            ("--width-rho", "1e-170", "width_rho must lie within"),
+            ("--width-z", "1e-170", "width_z must lie within"),
+            # radius**2 overflowed: exit 4 "(34, 'Numerical result out of range')"
+            ("--radius", "1e300", "torus_radius must lie within"),
+            # the energy unit hbar^2 / (2 M rho_0^2) underflowed to zero: exit 4 "float division by zero"
+            ("--radius", "1e150", "atom_mass and torus_radius put the energy unit"),
+        ],
+    )
+    def test_lengths_outside_the_floats_exit_3(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "r.csv"
+        code = main(self.ARGV + [flag, value, "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith(f"error: validation: {message}")
+        assert not out.exists()
+
+    def test_valid_trap_exits_0(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(self.ARGV + ["--output", str(out)]) == 0
+        assert read_csv(out)[0][0] == "eta"
+
+
 class TestConfigAndEnvironment:
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -572,11 +649,35 @@ def test_twelve_significant_digit_floats(tmp_path):
     assert record["mu_eff"] == f"{mu:.12g}"
 
 
+def typed(column):
+    """A column as a builder hands it over: the array numpy makes of it, or an object array where numpy cannot."""
+    try:
+        array = np.array(column)
+    except ValueError:  # nested lists of different lengths
+        array = None
+    if array is None or array.ndim != 1:
+        array = np.empty(len(column), dtype=object)
+        for i, value in enumerate(column):
+            array[i] = value
+    return array
+
+
+def cell_values(column):
+    """A column's cells as Python values: a (values, index) pair is values[index], None at index len(values)."""
+    if isinstance(column, tuple):
+        values, index = column
+        pool = values.tolist() + [None]
+        return [pool[i] for i in index.tolist()]
+    return column.tolist()
+
+
 class TestColumnarRendering:
     """_render_csv and _render_json take columns and give the text in pieces; these references write one cell or dict at a time.
 
     Each table is written as rows below, and handed to the renderers as its
-    columns, list(zip(*rows)).  A table without columns has no rows either.
+    typed columns, the arrays numpy makes of list(zip(*rows)).  The
+    references write the cells' Python values.  A table without columns has
+    no rows either.
     """
 
     @staticmethod
@@ -602,10 +703,16 @@ class TestColumnarRendering:
             "command": config.subcommand,
             "parameters": config.parameters,
             "columns": result.header,
-            "rows": [dict(zip(result.header, row)) for row in zip(*result.columns)],
+            "rows": [dict(zip(result.header, row)) for row in zip(*map(cell_values, result.columns))],
         }
         payload.update(result.extras)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def assert_renders(self, header, columns):
+        assert "".join(_render_csv(header, columns)) == self.reference_csv(header, list(zip(*map(cell_values, columns))))
+        for extras in self.EXTRAS:
+            result = CommandResult(header=header, columns=columns, extras=extras)
+            assert "".join(_render_json(self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
 
     BIG = 10**400
     # the header's sorted order differs from its column order; every column
@@ -626,11 +733,12 @@ class TestColumnarRendering:
         (["b", "a", "b"], [[1.0, 2.0, 3.0]]),  # a repeated name keeps its last column, as in dict()
         ([], [[], []]),
         (["only"], [[5e-324], [-5e-324]]),
+        (["unsigned", "int"], [[2**63, -(2**63)], [2**64 - 1, 2**63 - 1]]),  # uint64 and int64 extremes
     ]
 
-    SHARED = [0.5, -0.0, 0.5, 1 / 3, 0.0]
+    SHARED = np.array([0.5, -0.0, 0.5, 1 / 3, 0.0])
     # repeated values, 0.0 beside -0.0 (equal, but printed apart), repeated
-    # NaNs, and one list passed as two columns
+    # NaNs, and one array passed as two columns
     COLUMN_TABLES = [
         (["zero", "signed"], [[0.0, -0.0, 0.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0, -0.0]]),
         (["nan"], [[math.nan, 1.0, math.nan, -math.nan, math.inf, math.inf, -math.inf, 1.0]]),
@@ -651,21 +759,61 @@ class TestColumnarRendering:
 
     @pytest.mark.parametrize("header, rows", TABLES)
     def test_csv_matches_cell_by_cell_reference(self, header, rows):
-        columns = list(zip(*rows))
-        assert "".join(_render_csv(header, columns)) == self.reference_csv(header, list(zip(*columns)))
+        columns = [typed(column) for column in zip(*rows)]
+        assert "".join(_render_csv(header, columns)) == self.reference_csv(header, list(zip(*map(cell_values, columns))))
 
     @pytest.mark.parametrize("header, rows", TABLES)
     @pytest.mark.parametrize("extras", EXTRAS)
     def test_json_matches_json_dumps(self, header, rows, extras):
-        result = CommandResult(header=header, columns=list(zip(*rows)), extras=extras)
+        result = CommandResult(header=header, columns=[typed(column) for column in zip(*rows)], extras=extras)
         assert "".join(_render_json(self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
 
     @pytest.mark.parametrize("header, columns", COLUMN_TABLES)
     def test_repeated_and_shared_columns(self, header, columns):
-        assert "".join(_render_csv(header, columns)) == self.reference_csv(header, list(zip(*columns)))
-        for extras in self.EXTRAS:
-            result = CommandResult(header=header, columns=columns, extras=extras)
-            assert "".join(_render_json(self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
+        self.assert_renders(header, [column if isinstance(column, np.ndarray) else typed(column) for column in columns])
+
+    def test_typed_columns_take_their_dtype_paths(self):
+        assert [typed(column).dtype.kind for column in zip(*self.ROWS)] == ["f", "f", "f", "O", "b", "O", "U", "O", "O"]
+        signed = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-320, 1 / 3, -2.5e300])
+        self.assert_renders(
+            ["f", "i", "b", "s", "o"],
+            [
+                signed,
+                np.array([0, -1, 2**62, -(2**63), 7, 8, 9, 10, 11], dtype=np.int64),
+                np.array([True, False, False, True, True, False, True, True, False]),
+                np.array(["up", "down", "", 'q"uote', "\u00e9", "a,b", "x", "y", "z"]),
+                np.array([None, 1, 2.5, "s", True, [1], {"k": -0.0}, 10**30, -(10**30)], dtype=object),
+            ],
+        )
+        assert "".join(_render_csv(["f"], [signed])).split("\n")[1:5] == ["0", "-0", "nan", "nan"]
+        result = CommandResult(header=["f"], columns=[signed])
+        rows = json.loads("".join(_render_json(self.JSON_CONFIG, result)))["rows"]
+        assert [row["f"] for row in rows][4:6] == [math.inf, -math.inf]
+        finite = CommandResult(header=["f"], columns=[signed[[0, 1, 6, 7, 8]]])
+        assert '"f": -0.0' in "".join(_render_json(self.JSON_CONFIG, finite))
+
+    @pytest.mark.parametrize("pieces", [1, 3])
+    def test_value_index_pairs(self, pieces):
+        rows = 4096 * (pieces - 1) + 17  # the last of three pieces is short
+        rng = np.random.default_rng(pieces)
+        floats = np.array([0.5, -0.0, 0.0, 1 / 3, math.nan, math.inf])
+        columns = [
+            (floats, rng.integers(0, len(floats), rows)),
+            (floats[:4], rng.integers(0, 5, rows)),  # index 4 = len(values): the empty cell
+            (np.array(["up", "down"]), rng.integers(0, 2, rows).astype(np.int8)),
+            (np.array([7, -(2**63)]), np.repeat(np.arange(2), [rows // 2, rows - rows // 2])),
+            (np.array([True, False]), rng.integers(0, 2, rows)),
+            rng.integers(0, 2, rows).astype(bool),
+            np.arange(rows) / 7,
+        ]
+        self.assert_renders(["pick", "maybe", "direction", "int", "bool", "flag", "x"], columns)
+        assert any(cell is None for cell in cell_values(columns[1]))
+
+    def test_table_spanning_three_pieces(self):
+        rows = 2 * 4096 + 5
+        columns = [np.arange(rows, dtype=np.int64) - 4096, np.arange(rows) * -0.1, np.arange(rows) % 3 == 0]
+        self.assert_renders(["n", "x", "flag"], columns)
+        assert "".join(_render_csv(["n", "x", "flag"], columns)).count("\n") == rows + 1
 
 
 class TestSweepsFromColumns:

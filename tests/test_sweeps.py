@@ -28,15 +28,35 @@ TWO_PI = 2.0 * math.pi
 
 
 def stepwise_settled_winding(m, eta, u_tilde):
-    """The walk of single steps that sweeps._settled_winding shortcuts."""
+    """The walk of single steps whose result the hysteresis walk computes as clamps to the window edges.
+
+    Where 1/2 + u_tilde/(2 pi) rounds to 1/2 at a half-integer eta, no
+    winding lies strictly inside the window in floats, and the steps would
+    go back and forth between the two windings on its edges.  Either of them
+    keeps its value there, as in exact arithmetic for u_tilde > 0, and a
+    winding beyond both settles on the nearer one.
+    """
     half_window = 0.5 + u_tilde / TWO_PI
     while True:
         if eta - m >= half_window:
+            if m + 1 - eta >= half_window:  # the step up would come back
+                return m
             m += 1
         elif m - eta >= half_window:
+            if eta - (m - 1) >= half_window:  # the step down would come back
+                return m
             m -= 1
         else:
             return m
+
+
+def stepwise_walk(path, u_tilde, m):
+    """The winding after every point of the path, one oracle call per point."""
+    windings = []
+    for eta in path:
+        m = stepwise_settled_winding(m, eta, u_tilde)
+        windings.append(m)
+    return windings
 
 
 class TestEtaGrid:
@@ -363,17 +383,15 @@ class TestHysteresis:
 
 
 class TestSettledWinding:
+    """The array walk (clamps to the window edges, one pass per monotone run) against the single-step oracle."""
+
     def test_matches_single_steps_on_random_walks(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             u_tilde = float(rng.choice([1e-9, 0.3, TWO_PI, 40.0])) * float(rng.uniform(0.5, 2.0))
             start = int(rng.integers(-3000, 3000))
             path = (np.cumsum(rng.uniform(-1.0, 1.0, 20)) + float(rng.uniform(-3000, 3000))).tolist()
-            windings, m = [], start
-            for eta in path:
-                m = stepwise_settled_winding(m, eta, u_tilde)
-                windings.append(m)
-            assert [r.winding for r in hysteresis(path, u_tilde, start)] == windings
+            assert [r.winding for r in hysteresis(path, u_tilde, start)] == stepwise_walk(path, u_tilde, start)
 
     def test_window_edges_decided_by_the_step_comparison(self):
         # eta - m == half_window (and m - eta) exactly in floats: a slide
@@ -387,9 +405,8 @@ class TestSettledWinding:
                     edges += on_edge
                     for near in (eta, math.nextafter(eta, -math.inf), math.nextafter(eta, math.inf)):
                         for start in (m - 5000, m - 2, m, m + 2, m + 5000):
-                            assert sweeps._settled_winding(start, near, u_tilde) == stepwise_settled_winding(
-                                start, near, u_tilde
-                            )
+                            (record,) = hysteresis([near], u_tilde, start)
+                            assert record.winding == stepwise_settled_winding(start, near, u_tilde)
         assert edges >= 30  # about half of the constructed points sit exactly on an edge
 
     def test_far_starts_return_at_once(self):
@@ -399,6 +416,62 @@ class TestSettledWinding:
         (below,) = hysteresis([-1e12], 1.0, 0)
         assert time.perf_counter() - began < 1.0  # single steps would take hours
         assert far.winding == 10**12 and back.winding == 0 and below.winding == -(10**12)
+
+    @staticmethod
+    @st.composite
+    def walks(draw):
+        """(path, u_tilde, start): paths of steps <= 1, often on window edges, and starts far outside."""
+        u_tilde = TWO_PI * draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-9, 5.0) | st.sampled_from([1e-17, 5e-324]))
+        half_window = 0.5 + u_tilde / TWO_PI
+        base = draw(
+            st.integers(-3000, 3000)
+            | st.integers(2**53 - 10**6, 2**53 - 40)  # paths and window edges stay inside +-2**53
+            | st.integers(-(2**53) + 40, -(2**53) + 10**6)
+        )
+        kind = draw(st.sampled_from(["loop", "zigzag", "edges"]))
+        if kind == "loop":
+            step = draw(st.sampled_from([0.05, 0.25, 0.5, 1.0]))
+            up = (base + step * np.arange(draw(st.integers(1, 12)))).tolist()
+            path = up + up[-2::-1]
+        elif kind == "zigzag":
+            steps = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=15))
+            path = (base + np.cumsum(steps)).tolist()
+        else:  # eta - m or m - eta exactly half_window (u/2pi 1/4, 1/2, 1 give exact edges), or one ulp off
+            offsets = draw(st.lists(st.sampled_from([-half_window, half_window, 0.0, 0.5, -0.5]), min_size=1, max_size=8))
+            path = [base + offset for offset in offsets]
+            path = [draw(st.sampled_from([eta, math.nextafter(eta, -math.inf), math.nextafter(eta, math.inf)])) for eta in path]
+            path = [eta for i, eta in enumerate(path) if i == 0 or abs(eta - path[i - 1]) <= 1.0] or path[:1]
+        start = round(path[0]) + draw(st.integers(-30000, 30000) | st.integers(-3, 3))
+        return path, u_tilde, start
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(walk=walks())
+    def test_walk_matches_single_steps(self, walk):
+        # the walk alone: at a subnormal u_tilde and |eta| near 2**53 the barrier
+        # overflows and hysteresis rejects the path, as it did before the walk was on arrays
+        path, u_tilde, start = walk
+        _, winding = sweeps._walk(np.array(path), u_tilde, start)
+        assert winding.tolist() == stepwise_walk(path, u_tilde, start)
+
+    @pytest.mark.parametrize("eta", [0.5, -1.5, 2.5])
+    @pytest.mark.parametrize("u_tilde", [1e-17, 5e-324])
+    def test_empty_window_at_half_integers(self, eta, u_tilde):
+        # 1/2 + u_tilde/(2 pi) rounds to 1/2: the single steps flipped between the edge windings forever
+        assert 0.5 + u_tilde / TWO_PI == 0.5
+        below, above = math.floor(eta), math.ceil(eta)
+        for start, settled in ((below - 7, below), (below, below), (above, above), (above + 7, above)):
+            assert [r.winding for r in hysteresis([eta], u_tilde, start)] == [settled]
+            assert stepwise_settled_winding(start, eta, u_tilde) == settled
+
+    def test_windings_stay_float_held_past_2_53(self):
+        # eta + half_window crosses 2**53: sliding down from above, the walk stops on the greatest float
+        # inside the window.  Single steps of Python ints stop at 2**53 + 1, which no float holds: its
+        # comparison rounds it to 2**53 first.
+        eta, u_tilde = 2.0**53 - 1, TWO_PI
+        assert stepwise_settled_winding(2**53 + 100, eta, u_tilde) == 2**53 + 1
+        (record,) = hysteresis([eta], u_tilde, 2**53 + 100)
+        assert record.winding == 2**53 and float(record.winding) == record.winding
+        assert hysteresis([eta], u_tilde, 2**53 - 100)[0].winding == 2**53 - 2 == stepwise_settled_winding(2**53 - 100, eta, u_tilde)
 
 
 def test_non_finite_inputs_rejected():
@@ -473,7 +546,7 @@ class TestSweepsMatchPerPointLoops:
         etas = [-1.5, -0.7, -0.5, 0.0, 0.4999999, 0.5, 0.5000001, 1.3, 2.5, 2]
         for u_tilde, x_step in ((0.4 * TWO_PI, 0.05), (3.0, 0.3), (2 * TWO_PI, 1 / 3)):
             result = landscape(m, etas, u_tilde, x_step)
-            points, peaks = self.landscape_loop(m, etas, u_tilde, x_step)
+            points, peaks = self.landscape_loop(m, [float(e) for e in etas], u_tilde, x_step)
             assert repr(result.points) == repr(points)
             assert repr(result.peaks) == repr(peaks)
             assert peaks  # some etas of the list have interior peaks
