@@ -151,7 +151,9 @@ def radial_term_diagnostic(trap: TrapSetup) -> float:
     integral |f|: within 3e-15 of it from a 64 x 400 panel reference for
     s_rho / rho_0 from 1e-4 to 3.  Thinner tori keep that bound, so the
     value (about 1/2) carries an absolute error of order 1e-16 rho_0 / s:
-    about 1e-9 at s_rho / rho_0 = 1e-8.
+    about 1e-9 at s_rho / rho_0 = 1e-8.  Raises ValueError where the
+    integrand overflows the floats (a torus far thicker than its radius,
+    at lengths near the float range).
     """
     from numpy.polynomial.legendre import leggauss  # loaded only when a reduction asks for this diagnostic
 
@@ -172,8 +174,12 @@ def radial_term_diagnostic(trap: TrapSetup) -> float:
         d = np.concatenate((r_low - rho0, d))
         r = np.concatenate((r_low, r))
         weights = np.concatenate((w_low, weights))
-    integrand = -d / (2.0 * s**2) * (2.0 * math.pi * s**2) ** -0.5 * np.exp(-(d**2) / (2.0 * s**2)) / r
-    return rho0**2 * float(weights @ integrand)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
+        integrand = -d / (2.0 * s**2) * (2.0 * math.pi * s**2) ** -0.5 * np.exp(-(d**2) / (2.0 * s**2)) / r
+        value = rho0**2 * float(weights @ integrand)
+    if not math.isfinite(value):
+        raise ValueError("the radial-term diagnostic overflows the floats at this width_rho and torus_radius")
+    return value
 
 
 def build_ring_params(trap: TrapSetup, eta: float) -> RingParams:

@@ -114,23 +114,18 @@ def barrier_peak(m, eta, u_tilde):
     """barrier's (x_peak, mu_peak, height_from_m, height_from_m_plus_1), also on arrays.
 
     u_tilde must be > 0; the peak is interior exactly where 0 < x_peak < 1.
-    Below u_tilde = pi / DBL_MAX (about 1.7e-308) pi / u_tilde overflows
-    and the general form is inf - inf.  There the heights are taken as the
-    climbs 2 g x^2 and 2 g (1 - x)^2 (g = u_tilde / (2 pi), x the peak
-    clipped to [0, 1]), which equal them in exact arithmetic and do not
-    cancel: they are below 2 g, at most a subnormal.
+    The heights are the climbs 2 g x^2 and 2 g (1 - x)^2 (g = u_tilde / (2 pi),
+    x the peak clipped to [0, 1]) and mu_peak is plane_mu(m) plus the first.
+    They equal mu_peak less each endpoint's plane_mu in exact arithmetic,
+    but that difference, with mu_peak expanded, cancels two terms of size
+    pi / u_tilde and turns negative at small u_tilde; the climbs cancel
+    nothing and stay below u_tilde / pi.
     """
     x_peak = 0.5 + (m + 0.5 - eta) * math.pi / u_tilde
-    if math.pi / u_tilde == math.inf:
-        g = u_tilde / TWO_PI
-        x = np.clip(x_peak, 0.0, 1.0)
-        height_from_m = 2.0 * g * x * x
-        mu_peak = plane_mu(m, eta, u_tilde) + height_from_m
-        return x_peak, mu_peak, height_from_m, 2.0 * g * (1.0 - x) * (1.0 - x)
-    mu_peak = (1.0 + math.pi / u_tilde) * (m - eta) * (m + 1 - eta) + 0.5 * (
-        1.0 + math.pi / (2.0 * u_tilde) + 3.0 * u_tilde / TWO_PI
-    )
-    return x_peak, mu_peak, mu_peak - plane_mu(m, eta, u_tilde), mu_peak - plane_mu(m + 1, eta, u_tilde)
+    g = u_tilde / TWO_PI
+    x = np.clip(x_peak, 0.0, 1.0)
+    height_from_m = 2.0 * g * x * x
+    return x_peak, plane_mu(m, eta, u_tilde) + height_from_m, height_from_m, 2.0 * g * (1.0 - x) * (1.0 - x)
 
 
 def mu_uniform(m: int, params: RingParams) -> float:

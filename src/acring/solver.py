@@ -30,7 +30,7 @@ negative k (exactly numpy.fft.fftfreq(G, 1/G)).  This matters because
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,23 +191,6 @@ def _as_potential(potential, grid_size: int) -> np.ndarray | None:
     return v
 
 
-def _seed_spectrum(settings: SolverSettings) -> np.ndarray:
-    """Spectrum of the seed plane wave plus optional mode-space noise, unit-normalized.
-
-    The noise pattern is generated relative to the seed winding (then rolled
-    to absolute mode indices), so runs at (eta, m0) and (eta+1, m0+1) with
-    the same rng_seed start from exact gauge images of each other.
-    """
-    g = settings.grid_size
-    coeffs = np.zeros(g, dtype=np.complex128)
-    if settings.noise_amplitude > 0:
-        rng = np.random.default_rng(settings.rng_seed)
-        coeffs += settings.noise_amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
-    coeffs[0] += 1.0
-    coeffs = np.roll(coeffs, settings.seed_winding)
-    return coeffs / math.sqrt(TWO_PI * float((coeffs.real**2 + coeffs.imag**2).sum()) / g**2)
-
-
 def apply_hamiltonian(psi: RingWavefunction, params: RingParams) -> RingWavefunction:
     """Apply the ring Hamiltonian to a normalized state (unnormalized image).
 
@@ -276,6 +259,20 @@ def _energies(spec, psi, kin, u: float, v):
     return kinetic + u * quart, kinetic + 0.5 * u * quart, dens
 
 
+def _trial(angle, spec, psi, unit, unit_psi, kin, u: float, v):
+    """Rows moved by angle along their great circles, renormalized: (spectrum, rows, mu, energy, density)."""
+    g = spec.shape[-1]
+    measure = TWO_PI / g / g
+    cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    trial = cos * spec + sin * unit
+    trial_psi = cos * psi + sin * unit_psi
+    scale = 1.0 / np.sqrt(measure * _inner(trial, trial))[:, None]
+    trial *= scale
+    trial_psi *= scale
+    mu, energy, dens = _energies(trial, trial_psi, kin, u, v)
+    return trial, trial_psi, mu, energy, dens
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite values raise below
 def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, history=None):
     """Minimize the energy of a (rows, G) stack of unit spectra on the unit sphere.
@@ -291,7 +288,12 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
     when it is not a descent direction.  theta minimizes the second-order
     model of the energy along the circle (one more transform, for d on the
     grid), capped at _MAX_ANGLE, then halved until the energy rises by at
-    most _ENERGY_SLACK * max(1, |E|), which is roundoff.
+    most _ENERGY_SLACK * max(1, |E|), which is roundoff.  The first trial
+    runs on the live stack itself: when every row accepts it (nearly every
+    iteration) the trial arrays become the state, with no gather or
+    scatter.  Otherwise the accepted rows are written in place and only the
+    rest are gathered, halved and tried again, _HALVINGS trials in all; a
+    row that accepts none keeps its state.
 
     Every row keeps its own direction and angle and leaves the stack once it
     stops, so its trajectory does not depend on its neighbours.  An
@@ -311,6 +313,7 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
     live = np.arange(rows)
     psi = np.fft.ifft(spec)
     mu, energy, dens = _energies(spec, psi, kin, u, v)
+    precond = kin + (u / TWO_PI + 1.0)
     direction = np.zeros_like(spec)
     grad_prev = np.zeros_like(spec)
     slope_prev = np.full(rows, math.inf)  # beta = 0 on the first iteration
@@ -336,11 +339,12 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
             live = live[keep]
             if live.size == 0:
                 break
-            spec, psi, kin, mu, energy, dens, field, resid, direction, grad_prev, slope_prev = (
-                a[keep] for a in (spec, psi, kin, mu, energy, dens, field, resid, direction, grad_prev, slope_prev)
+            spec, psi, kin, precond, mu, energy, dens, field, resid, direction, grad_prev, slope_prev = (
+                a[keep]
+                for a in (spec, psi, kin, precond, mu, energy, dens, field, resid, direction, grad_prev, slope_prev)
             )
 
-        grad = resid / (kin + (u / TWO_PI + 1.0))  # preconditioned
+        grad = resid / precond
         grad -= (measure * _inner(spec, grad))[:, None] * spec
         slope = measure * _inner(resid, grad)
         beta = np.maximum(0.0, measure * _inner(resid, grad - grad_prev) / slope_prev)
@@ -348,7 +352,8 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
         direction *= beta[:, None]
         direction -= grad
         restart = ~(_inner(resid, direction) < 0.0)  # not a descent direction
-        direction[restart] = -grad[restart]
+        if restart.any():
+            direction[restart] = -grad[restart]
         grad_prev, slope_prev = grad, slope
 
         # E(theta) ~ E + first * theta + second * theta^2 / 2 along the circle, with
@@ -363,17 +368,22 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
             - mu
         ) + 4.0 * u * dphi * np.einsum("ij,ij->i", cross, cross)
         angle = np.where(second > 0.0, np.minimum(-first / second, _MAX_ANGLE), _MAX_ANGLE)
-
         ceiling = energy + _ENERGY_SLACK * np.maximum(1.0, np.abs(energy))
-        todo = np.arange(live.size)
-        for _ in range(_HALVINGS):
-            cos, sin = np.cos(angle[todo])[:, None], np.sin(angle[todo])[:, None]
-            trial = cos * spec[todo] + sin * unit[todo]
-            trial_psi = cos * psi[todo] + sin * unit_psi[todo]
-            scale = 1.0 / np.sqrt(measure * _inner(trial, trial))[:, None]
-            trial *= scale
-            trial_psi *= scale
-            trial_mu, trial_energy, trial_dens = _energies(trial, trial_psi, kin[todo], u, v)
+
+        # the first trial runs on the whole stack; nearly always every row takes it
+        trial, trial_psi, trial_mu, trial_energy, trial_dens = _trial(angle, spec, psi, unit, unit_psi, kin, u, v)
+        ok = trial_energy <= ceiling
+        if ok.all():
+            spec, psi, dens, mu, energy = trial, trial_psi, trial_dens, trial_mu, trial_energy
+            continue
+        spec[ok], psi[ok], dens[ok] = trial[ok], trial_psi[ok], trial_dens[ok]
+        mu[ok], energy[ok] = trial_mu[ok], trial_energy[ok]
+        todo = np.flatnonzero(~ok)
+        for _ in range(_HALVINGS - 1):
+            angle[todo] *= 0.5
+            trial, trial_psi, trial_mu, trial_energy, trial_dens = _trial(
+                angle[todo], spec[todo], psi[todo], unit[todo], unit_psi[todo], kin[todo], u, v
+            )
             ok = trial_energy <= ceiling[todo]
             moved = todo[ok]
             spec[moved], psi[moved], dens[moved] = trial[ok], trial_psi[ok], trial_dens[ok]
@@ -381,7 +391,6 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
             todo = todo[~ok]
             if todo.size == 0:
                 break
-            angle[todo] *= 0.5
     return out_psi, out_mu, out_energy, out_iterations, out_converged
 
 
@@ -400,6 +409,21 @@ def relax(params: RingParams, settings: SolverSettings, potential=None) -> Groun
     return report
 
 
+def _windings(amplitudes):
+    """Net phase turns of each row of a (rows, G) stack, and whether the row has a density node.
+
+    Sums the principal-branch increments arg(psi_{j+1} / psi_j) over the
+    closed loop and divides by 2 pi.  A row with |psi_j| below NODE_FLOOR of
+    its maximum somewhere (or zero everywhere) has no defined winding; its
+    turns are meaningless.
+    """
+    mags = np.abs(amplitudes)
+    peak = mags.max(axis=1)
+    node = (peak == 0.0) | (mags.min(axis=1) < NODE_FLOOR * peak)
+    increments = np.angle(np.roll(amplitudes, -1, axis=1) * np.conj(amplitudes))
+    return np.round(increments.sum(axis=1) / TWO_PI), node
+
+
 def winding_number(psi: RingWavefunction) -> int:
     """Net phase turns around the ring, from principal-branch increments.
 
@@ -408,29 +432,10 @@ def winding_number(psi: RingWavefunction) -> int:
     sits below 1e-10 of the maximum: the phase (and hence the winding) is
     undefined through a density node.
     """
-    a = psi.amplitudes
-    mags = np.abs(a)
-    peak = float(mags.max())
-    if peak == 0.0 or float(mags.min()) < NODE_FLOOR * peak:
+    (turns,), (node,) = _windings(psi.amplitudes[None])
+    if node:
         raise ValueError("winding undefined: wavefunction has a density node")
-    increments = np.angle(np.roll(a, -1) * np.conj(a))
-    return int(round(float(increments.sum()) / TWO_PI))
-
-
-def _winding_or_dominant(psi: RingWavefunction) -> int:
-    """winding_number, falling back to the dominant mode index near a node.
-
-    Mid-relaxation states can pass arbitrarily close to a density node while
-    sliding between sectors; the dominant angular mode is still well defined
-    there and matches winding_number whenever the latter is defined on a
-    nearly uniform state.
-    """
-    try:
-        return winding_number(psi)
-    except ValueError:
-        spec = np.fft.fft(psi.amplitudes)
-        k = mode_numbers(psi.grid_size)
-        return int(k[int(np.argmax(spec.real**2 + spec.imag**2))])
+    return int(turns)
 
 
 def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list, v=None, history=None) -> list:
@@ -441,29 +446,47 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list, v=None, 
     not depend on the others.  Batching exists because the transform cost
     at these grid sizes is call-overhead dominated.  v is a validated
     potential or None; history, a list given for a single pair, receives
-    the energy of every iteration and becomes its energy_history.  The
-    winding is read off each final state.
+    the energy of every iteration and becomes its energy_history.
+
+    Every row starts from the plane wave of its seed winding plus the
+    settings' mode-space noise, unit-normalized.  The noise is drawn once
+    (from rng_seed) relative to the seed winding and rolled to absolute
+    mode indices, so rows at (eta, m0) and (eta+1, m0+1) start from exact
+    gauge images of each other.  The winding is read off each final state;
+    where it is undefined (a state passing near a density node between
+    sectors) the dominant angular mode stands in, which matches it
+    whenever it is defined on a nearly uniform state.
     """
-    spec = np.stack([_seed_spectrum(replace(settings, seed_winding=seed)) for _, seed in seeds])
-    kin = _kinetic(settings.grid_size, [eta for eta, _ in seeds])
+    g = settings.grid_size
+    base = np.zeros(g, dtype=np.complex128)
+    if settings.noise_amplitude > 0:
+        rng = np.random.default_rng(settings.rng_seed)
+        base += settings.noise_amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
+    base[0] += 1.0
+    shifts = np.array([seed for _, seed in seeds])
+    spec = base[(np.arange(g) - shifts[:, None]) % g]  # row i is np.roll(base, seed_i)
+    spec /= np.sqrt(TWO_PI * (spec.real**2 + spec.imag**2).sum(axis=1) / g**2)[:, None]
+    kin = _kinetic(g, [eta for eta, _ in seeds])
     psi, mu, energy, iterations, converged = _descend(
         spec, kin, u_tilde, v, settings.tolerance, settings.max_iterations, history
     )
-    reports = []
-    for i in range(len(seeds)):
-        wavefunction = RingWavefunction(psi[i])
-        reports.append(
-            GroundStateReport(
-                wavefunction=wavefunction,
-                mu=float(mu[i]),
-                energy_per_particle=float(energy[i]),
-                winding=_winding_or_dominant(wavefunction),
-                iterations=int(iterations[i]),
-                converged=bool(converged[i]),
-                energy_history=np.asarray(history or (), dtype=np.float64),
-            )
+    windings, node = _windings(psi)
+    if node.any():
+        power = np.fft.fft(psi[node])
+        windings[node] = mode_numbers(g)[np.argmax(power.real**2 + power.imag**2, axis=1)]
+    energy_history = np.asarray(history or (), dtype=np.float64)
+    return [
+        GroundStateReport(
+            wavefunction=RingWavefunction(psi[i]),
+            mu=float(mu[i]),
+            energy_per_particle=float(energy[i]),
+            winding=int(windings[i]),
+            iterations=int(iterations[i]),
+            converged=bool(converged[i]),
+            energy_history=energy_history,
         )
-    return reports
+        for i in range(len(seeds))
+    ]
 
 
 def _pick_ground(reports: list) -> GroundStateReport:

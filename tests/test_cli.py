@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -407,7 +408,7 @@ class TestLandscapeCommand:
 
     @pytest.mark.parametrize(
         "eta, u_tilde",
-        [("1e300", "1"), ("-1e160", "1"), ("0.7", "1e308")],  # (m - eta)^2 overflows; so does the peak's 3 u
+        [("1e300", "1"), ("-1e160", "1")],  # (m - eta)^2 overflows
     )
     def test_overflowing_table_exits_3_without_warnings(self, tmp_path, capsys, eta, u_tilde):
         # it printed numpy RuntimeWarnings, wrote nan and inf rows and exited 0
@@ -419,6 +420,20 @@ class TestLandscapeCommand:
         assert code == 3
         assert len(err_lines) == 1 and err_lines[0].startswith(f"error: validation: eta={float(eta)} overflows")
         assert not out.exists()
+
+    def test_peak_near_the_float_range_is_finite(self, tmp_path):
+        # the expanded peak value's 3 u_tilde / 2 pi overflowed here and the command exited 3;
+        # the climb 2 g x^2 at x = 1/2 is u_tilde / (4 pi), a normal float
+        out = tmp_path / "l.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["landscape", "--eta", "0.7", "--u-tilde", "1e308", "--x-step", "0.5",
+                         "--format", "json", "--output", str(out)])
+        assert code == 0
+        (peak,) = json.loads(out.read_text())["peaks"]
+        assert peak["x_peak"] == 0.5
+        assert peak["height_from_m"] == peak["height_from_m_plus_1"] == pytest.approx(1e308 / (4 * math.pi), rel=1e-15)
+        assert peak["mu_peak"] == pytest.approx(1.5 * 1e308 / (2 * math.pi) + 0.49, rel=1e-15)
 
     def test_overflow_off_the_table_is_not_reported(self, tmp_path):
         # at a subnormal u_tilde the peak sits at x = -inf, outside (0, 1): no peak row, no warning
@@ -480,16 +495,32 @@ class TestHysteresisCommand:
         assert err_lines == ["error: validation: start_winding must be an integer that a float holds exactly"]
         assert not out.exists()
 
-    def test_overflowing_barrier_exits_3_without_warnings(self, tmp_path, capsys):
-        # the peak's 3 u_tilde / 2 pi overflowed: it wrote barrier_height inf and exited 0
+    def test_barrier_near_the_float_range_is_finite(self, tmp_path, capsys):
+        # the expanded peak value's 3 u_tilde / 2 pi overflowed here: it wrote barrier_height inf,
+        # later exit 3; the climb at x = 1/2 is u_tilde / (4 pi), a normal float
         out = tmp_path / "h.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["hysteresis", "--eta", "0.2", "--u-tilde", "1e308", "--output", str(out)])
-        err_lines = capsys.readouterr().err.splitlines()
-        assert code == 3
-        assert err_lines == ["error: validation: eta=0.2 overflows the hysteresis barrier's floats (u_tilde=1e+308)"]
-        assert not out.exists()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text() == "eta,direction,winding,barrier_height\n0.2,up,0,7.95774715459e+306\n"
+
+    @pytest.mark.parametrize("u_tilde", ["1e-17", "1e-9"])
+    def test_small_u_tilde_barrier_is_the_climb(self, tmp_path, capsys, u_tilde):
+        # the expanded peak value cancelled two terms of size pi / u_tilde: it printed -0.25 at 1e-17
+        # and -1.59e-10 at 1e-9, where the climb is u_tilde / (4 pi)
+        out = tmp_path / "h.csv"
+        code = main(["hysteresis", "--eta", "0.5", "--u-tilde", u_tilde, "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        (row,) = read_csv(out)[1]
+        exact = Fraction(float(u_tilde)) / (4 * Fraction(math.pi))
+        assert row[:3] == ["0.5", "up", "0"]
+        assert float(row[3]) > 0.0
+        assert abs(Fraction(float(row[3])) - exact) <= Fraction(1e-11) * exact  # printed to 12 digits
+        (record,) = hysteresis([0.5], float(u_tilde), 0)
+        assert abs(Fraction(record.barrier_height) - exact) <= Fraction(1e-13) * exact
 
     def test_overflow_off_the_path_is_not_reported(self, tmp_path, capsys):
         # at a subnormal u_tilde the peak sits outside (0, 1): no barrier, and no numpy RuntimeWarning
@@ -570,6 +601,22 @@ class TestReduceCommand:
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 3
         assert len(err_lines) == 1 and err_lines[0].startswith(f"error: validation: {message}")
+        assert not out.exists()
+
+    def test_overflowing_diagnostic_exits_3_without_warnings(self, tmp_path, capsys):
+        # a torus 1e50 times thicker than its radius: the radial integrand overflowed in divide,
+        # with a numpy RuntimeWarning, and radial_term_diagnostic was written as inf with exit 0
+        out = tmp_path / "r.csv"
+        argv = ["reduce", "--atoms", "1e300", "--scattering-length", "1e-300", "--mass", "1e300",
+                "--radius", "1e-150", "--width-rho", "1e-100", "--width-z", "1e-150", "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err_lines == [
+            "error: validation: the radial-term diagnostic overflows the floats at this width_rho and torus_radius"
+        ]
         assert not out.exists()
 
     def test_valid_trap_exits_0(self, tmp_path):

@@ -1,6 +1,7 @@
 """Ring-model analytics: winding selection, two-mode landscape, barriers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +163,31 @@ class TestBarrier:
             info = barrier(m, p)
             assert info is not None
             assert info.mu_peak == pytest.approx(mu_mixed(MixedState(m, info.x_peak), p), rel=1e-12)
+
+    @staticmethod
+    def exact_climbs(m, eta, u):
+        """The two heights of the float inputs in exact arithmetic, pi taken as math.pi."""
+        pi = Fraction(math.pi)
+        x = Fraction(1, 2) + (m + Fraction(1, 2) - Fraction(eta)) * pi / Fraction(u)
+        g = Fraction(u) / (2 * pi)
+        return 2 * g * x * x, 2 * g * (1 - x) * (1 - x)
+
+    def test_heights_are_the_exact_climbs(self):
+        # the expanded peak value cancels two terms of size pi / u_tilde: at eta = 1/2 it
+        # gave height -0.25 at u_tilde = 1e-17 and -1.6e-10 at 1e-9, for climbs of u / (4 pi)
+        rng = np.random.default_rng(29)
+        cases = [(0, 0.5, 1e-17), (0, 0.5, 1e-9), (-2, -1.5, 1e-12), (0, 0.5 + 1e-12, 1e-9), (3, 3.5 + 1e-5, 1e-3)]
+        for _ in range(300):
+            u = float(rng.uniform(0.6, 6.3))
+            m = int(rng.integers(-3, 4))
+            cases.append((m, m + 0.5 - float(rng.uniform(-0.99, 0.99)) * u / TWO_PI, u))
+        for m, eta, u in cases:
+            info = barrier(m, RingParams(eta=eta, u_tilde=u))
+            heights = (info.height_from_m, info.height_from_m_plus_1)
+            for got, want in zip(heights, self.exact_climbs(m, eta, u)):
+                assert got >= 0.0
+                assert abs(Fraction(got) - want) <= Fraction(1e-13) * want, (m, eta, u)
+            assert info.mu_peak == mu_uniform(m, RingParams(eta=eta, u_tilde=u)) + info.height_from_m
 
     def test_absent_outside_metastability_window(self):
         u = 2.0 * TWO_PI

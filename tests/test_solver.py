@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from acring import solver
 from acring.reduction import RingParams
 from acring.ring import ground_winding, mu_uniform
 from acring.solver import (
@@ -194,8 +195,48 @@ class TestWindingNumber:
         amps = np.exp(2j * phi) + 0.05 * np.exp(3j * phi)
         assert winding_number(RingWavefunction(amps).normalized()) == 2
 
+    def test_batch_readout_falls_back_to_the_dominant_mode_at_a_node(self, monkeypatch):
+        # the batch reads every row's winding in one pass; a row through a density node has
+        # none and reports its dominant angular mode instead
+        phi = phi_grid(128)
+        states = np.array([
+            np.exp(3j * phi),
+            0.6 * np.exp(1j * phi) + 0.4 * np.exp(-2j * phi),  # node-free, winding 1
+            np.exp(-1j * phi) * (1.0 + np.exp(1j * phi)) * (1.0 + 0.25 * np.exp(1j * phi)),  # node at pi; mode 0 leads
+            np.exp(-3j * phi) * (1.0 - np.exp(1j * phi)) * (1.0 + 0.5 * np.exp(1j * phi)),  # node at 0; mode -3 leads
+        ])
+
+        def descend(spec, *args):
+            rows = len(spec)
+            return states, np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=int), np.ones(rows, dtype=bool)
+
+        monkeypatch.setattr(solver, "_descend", descend)
+        reports = _relax_batch(1.0, SolverSettings(grid_size=128), [(0.0, 0)] * len(states))
+        assert [r.winding for r in reports] == [3, 1, 0, -3]
+        assert [winding_number(RingWavefunction(a)) for a in states[:2]] == [3, 1]
+        for amplitudes in states[2:]:
+            with pytest.raises(ValueError, match="node"):
+                winding_number(RingWavefunction(amplitudes))
+
 
 class TestGlobalGround:
+    def test_batch_seeds_roll_one_noise_draw(self):
+        # every row starts from the same noise pattern, drawn relative to its seed winding
+        # and rolled to it, normalized on its own: the bits of building each seed alone
+        settings = SolverSettings(noise_amplitude=1e-2, max_iterations=1, rng_seed=11)
+        seeds = [(0.3, 0), (1.3, 1), (0.3, -2), (-0.7, 5)]
+        reports = _relax_batch(params(0.0).u_tilde, settings, seeds)
+        g = settings.grid_size
+        for (_, m0), report in zip(seeds, reports):
+            rng = np.random.default_rng(settings.rng_seed)
+            coeffs = np.zeros(g, dtype=np.complex128)
+            coeffs += settings.noise_amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
+            coeffs[0] += 1.0
+            coeffs = np.roll(coeffs, m0)
+            coeffs = coeffs / math.sqrt(TWO_PI * float((coeffs.real**2 + coeffs.imag**2).sum()) / g**2)
+            assert report.iterations == 1 and not report.converged  # the seed itself comes back
+            np.testing.assert_array_equal(report.wavefunction.amplitudes, np.fft.ifft(coeffs))
+
     def test_matches_analytic_around_step(self):
         assert converged_ground(params(0.49)).winding == 0
         assert converged_ground(params(0.51)).winding == 1
@@ -251,6 +292,41 @@ class TestGlobalGround:
             assert report.energy_per_particle == alone.energy_per_particle
             assert report.iterations == alone.iterations
             np.testing.assert_array_equal(report.wavefunction.amplitudes, alone.wavefunction.amplitudes)
+
+    def test_rows_that_halve_beside_rows_that_step(self, monkeypatch):
+        # in one iteration some rows take their first trial step while others halve it:
+        # the accepted rows are written in place and only the rest are tried again
+        settings = SolverSettings(noise_amplitude=1e-3)
+        rows = [(0.3, 0), (0.75, 2), (-1.25, 0), (1.7, 2)]
+        calls = []
+        energies, ifft = solver._energies, np.fft.ifft
+
+        def count_energies(spec, *rest):
+            calls.append(("energies", len(spec)))
+            return energies(spec, *rest)
+
+        def count_ifft(a, *rest, **kwargs):
+            calls.append(("ifft", len(a)))
+            return ifft(a, *rest, **kwargs)
+
+        monkeypatch.setattr(solver, "_energies", count_energies)
+        monkeypatch.setattr(np.fft, "ifft", count_ifft)
+        batch = _relax_batch(params(0.0).u_tilde, settings, rows)
+        monkeypatch.undo()
+        # an iteration transforms the live rows' directions, tries them all, then tries again those that halve
+        tries = [
+            (calls[i + 1][1], calls[i + 2][1])
+            for i in range(len(calls) - 2)
+            if calls[i][0] == "ifft" and calls[i + 1][0] == calls[i + 2][0] == "energies"
+        ]
+        assert any(0 < halving < tried for tried, halving in tries)
+        for (eta, seed), report in zip(rows, batch):
+            single = relax(params(eta), replace(settings, seed_winding=seed))
+            assert report.converged and single.converged
+            assert report.mu == single.mu
+            assert report.energy_per_particle == single.energy_per_particle
+            assert report.iterations == single.iterations
+            np.testing.assert_array_equal(report.wavefunction.amplitudes, single.wavefunction.amplitudes)
 
     def test_batch_rows_are_eigenstates(self):
         # independent of the descent: every converged row satisfies

@@ -447,8 +447,8 @@ class TestSettledWinding:
     @hypothesis.settings(max_examples=400, deadline=None)
     @hypothesis.given(walk=walks())
     def test_walk_matches_single_steps(self, walk):
-        # the walk alone: at a subnormal u_tilde and |eta| near 2**53 the barrier
-        # overflows and hysteresis rejects the path, as it did before the walk was on arrays
+        # the walk alone: near 2**53 the draws reach starts that no float holds, which
+        # hysteresis rejects before it walks
         path, u_tilde, start = walk
         _, winding = sweeps._walk(np.array(path), u_tilde, start)
         assert winding.tolist() == stepwise_walk(path, u_tilde, start)
