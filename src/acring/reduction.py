@@ -145,15 +145,18 @@ def radial_term_diagnostic(trap: TrapSetup) -> float:
     log-spaced panels in rho from the cutoff up to rho_0 / 2 (toward the
     cutoff the integrand goes like 1/rho), and equal panels in rho - rho_0
     from there to rho_0 + 12 s (only these when the cutoff lies above
-    rho_0 / 2).  The
-    integral is what remains after its two signed halves, each about
-    integral |f| ~ rho_0 / s, cancel, so the accuracy is stated against
-    integral |f|: within 3e-15 of it from a 64 x 400 panel reference for
-    s_rho / rho_0 from 1e-4 to 3.  Thinner tori keep that bound, so the
-    value (about 1/2) carries an absolute error of order 1e-16 rho_0 / s:
-    about 1e-9 at s_rho / rho_0 = 1e-8.  Raises ValueError where the
-    integrand overflows the floats (a torus far thicker than its radius,
-    at lengths near the float range).
+    rho_0 / 2).  The value is within 3e-15 of integral |f| from a 64 x 400
+    panel reference for s_rho / rho_0 from 1e-4 to 3.  Where the range is
+    symmetric about rho_0 (s_rho <= rho_0 / 24) the integrand
+    -Phi^2 d / (2 s^2 rho), d = rho - rho_0, is taken as
+    Phi^2 d^2 / (2 s^2 rho_0 rho): the two differ by an odd function of d,
+    which integrates to zero.  That leaves nothing to cancel, and at the
+    thinnest tori the value lies within 1e-15 of its limit 1/2 (the excess
+    is about 1.5 (s_rho / rho_0)^2).  On a thicker torus the two signed
+    halves, each about integral |f| ~ rho_0 / s, cancel, hence the bound
+    against integral |f|.
+    Raises ValueError where the integrand overflows the floats (a torus
+    far thicker than its radius, at lengths near the float range).
     """
     from numpy.polynomial.legendre import leggauss  # loaded only when a reduction asks for this diagnostic
 
@@ -169,13 +172,17 @@ def radial_term_diagnostic(trap: TrapSetup) -> float:
     # near the cutoff by rho itself, so neither loses digits to a difference
     d, weights = panels(np.linspace(-min(12.0 * s, 0.5 * rho0), 12.0 * s, _RADIAL_PANELS + 1))
     r = rho0 + d
+    # on a range symmetric about rho_0, -d / rho = -d / rho_0 + d^2 / (rho_0 rho) and
+    # the odd first part integrates to zero, so only a positive integrand is left
+    numerator = d * d / rho0
     if 12.0 * s > 0.5 * rho0:
         r_low, w_low = panels(np.geomspace(max(rho0 - 12.0 * s, 1e-9 * rho0), 0.5 * rho0, _RADIAL_PANELS + 1))
         d = np.concatenate((r_low - rho0, d))
         r = np.concatenate((r_low, r))
         weights = np.concatenate((w_low, weights))
+        numerator = -d
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
-        integrand = -d / (2.0 * s**2) * (2.0 * math.pi * s**2) ** -0.5 * np.exp(-(d**2) / (2.0 * s**2)) / r
+        integrand = numerator / (2.0 * s**2) * (2.0 * math.pi * s**2) ** -0.5 * np.exp(-(d**2) / (2.0 * s**2)) / r
         value = rho0**2 * float(weights @ integrand)
     if not math.isfinite(value):
         raise ValueError("the radial-term diagnostic overflows the floats at this width_rho and torus_radius")

@@ -119,9 +119,12 @@ def barrier_peak(m, eta, u_tilde):
     They equal mu_peak less each endpoint's plane_mu in exact arithmetic,
     but that difference, with mu_peak expanded, cancels two terms of size
     pi / u_tilde and turns negative at small u_tilde; the climbs cancel
-    nothing and stay below u_tilde / pi.
+    nothing and stay below u_tilde / pi.  From |m| = 2**52 on, m + 0.5 is a
+    tie that rounds to the even neighbour, so there m - eta is formed first;
+    below that m + 0.5 is exact, and m + 0.5 - eta rounds once, not twice.
     """
-    x_peak = 0.5 + (m + 0.5 - eta) * math.pi / u_tilde
+    offset = np.where(np.abs(m) >= 2**52, (m - eta) + 0.5, m + 0.5 - eta)
+    x_peak = 0.5 + offset * math.pi / u_tilde
     g = u_tilde / TWO_PI
     x = np.clip(x_peak, 0.0, 1.0)
     height_from_m = 2.0 * g * x * x

@@ -489,18 +489,25 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list, v=None, 
     ]
 
 
-def _pick_ground(reports: list) -> GroundStateReport:
-    """Lowest-energy converged report; ties within 1e-6 go to the lower |winding|.
+def _pick_ground(reports: list, tolerance: float) -> GroundStateReport:
+    """The one tie rule of the numeric search: the lowest winding among the lowest energies.
 
-    Among tied reports of that winding (seeds that relaxed into the same
+    The pool is the converged reports (all of them when none converged; the
+    pick then carries converged=False).  A report ties with the lowest
+    energy E when it lies no more than the solve resolves above it:
+    _ENERGY_SLACK * max(1, |E|), the roundoff the descent keeps, plus
+    (tolerance * max(1, |mu|))**2, the energy error left by the residual
+    bound every converged row met.  Ties go to the lower winding, as
+    ground_winding settles an exact half-integer, so eta -> eta + 1 shifts
+    the pick by one.  Within that winding (seeds that relaxed into the same
     sector) the lowest energy wins, i.e. the state nearest the fixed point.
-    Falls back to the whole pool when nothing converged; the pick then
-    carries converged=False.
     """
     pool = [r for r in reports if r.converged] or reports
-    best_energy = min(r.energy_per_particle for r in pool)
-    ties = [r for r in pool if r.energy_per_particle <= best_energy + 1e-6]
-    return min(ties, key=lambda r: (abs(r.winding), r.winding, r.energy_per_particle))
+    lowest = min(pool, key=lambda r: r.energy_per_particle)
+    energy = lowest.energy_per_particle
+    bound = _ENERGY_SLACK * max(1.0, abs(energy)) + (tolerance * max(1.0, abs(lowest.mu))) ** 2
+    ties = [r for r in pool if r.energy_per_particle <= energy + bound]
+    return min(ties, key=lambda r: (r.winding, r.energy_per_particle))
 
 
 def global_grounds(points, settings: SolverSettings | None = None) -> list:
@@ -534,7 +541,7 @@ def global_grounds(points, settings: SolverSettings | None = None) -> list:
     best = []
     for start in range(0, len(pairs), per_chunk):
         reports = _relax_batch(points[0].u_tilde, settings, pairs[start : start + per_chunk])
-        best.extend(_pick_ground(reports[i : i + seeds]) for i in range(0, len(reports), seeds))
+        best.extend(_pick_ground(reports[i : i + seeds], settings.tolerance) for i in range(0, len(reports), seeds))
     return best
 
 
@@ -542,12 +549,12 @@ def global_ground(params: RingParams, settings: SolverSettings | None = None) ->
     """Minimum-energy state over seed windings around the expected ground.
 
     Relaxes seeds m0 in {[eta]-2, ..., [eta]+2} (evaluated side by side) and
-    returns the converged report with the lowest energy per particle;
-    energies within 1e-6 of the minimum count as ties and resolve toward the
-    lower |winding| (then the lower winding).  With settings=None a small
-    seeded noise (1e-3, fixed rng) is used so seeds can slide out of their
-    sectors.  When every seed fails to converge, the best attempt comes back
-    with converged=False, as from relax and global_grounds.
+    returns the converged report with the lowest energy per particle; ties
+    (energies the solve does not resolve) go to the lower winding, as in
+    ground_winding, by the rule stated in _pick_ground.  With settings=None
+    a small seeded noise (1e-3, fixed rng) is used so seeds can slide out of
+    their sectors.  When every seed fails to converge, the best attempt
+    comes back with converged=False, as from relax and global_grounds.
     """
     return global_grounds([params], settings)[0]
 

@@ -75,12 +75,11 @@ def test_criterion_2_staircase_reproduction(staircase_runs):
     checked = 0
     for row in rows:
         eta, winding, degenerate = float(row[0]), int(row[1]), row[5] == "true"
-        if degenerate:
-            continue  # half-integer points are tie-flagged, not winding-checked
-        expected = ground_winding(RingParams(eta=eta, u_tilde=U_FIG)).winding
-        assert winding == expected, f"numeric winding {winding} != analytic {expected} at eta={eta}"
+        expected = ground_winding(RingParams(eta=eta, u_tilde=U_FIG))
+        assert winding == expected.winding, f"numeric winding {winding} != analytic {expected.winding} at eta={eta}"
+        assert degenerate == expected.degenerate, f"degenerate flag differs at eta={eta}"
         checked += 1
-    assert checked == 58  # 61 grid points minus the three half-integers
+    assert checked == 61  # the half-integer ties included
     print("\nACCEPTANCE 2 (staircase reproduction): PASS")
 
 

@@ -299,6 +299,19 @@ class TestStaircaseCommand:
         assert len(payload["rows"]) == 3
         assert payload["rows"][0]["winding_T0"] == 0
 
+    @pytest.mark.parametrize("u_over_2pi", ["0.2", "2"])
+    def test_numeric_ties_match_analytic_columns(self, tmp_path, u_over_2pi):
+        # every half-integer from -2.5 to 2.5 is a tie; both modes settle it on the lower winding
+        columns = {}
+        for mode in ("analytic", "numeric"):
+            out = tmp_path / f"{mode}.csv"
+            argv = ["staircase", "--eta=-2.5:2.5:0.5", "--u-tilde-over-2pi", u_over_2pi, "--mode", mode]
+            assert main(argv + ["--output", str(out)]) == 0
+            header, rows = read_csv(out)
+            columns[mode] = [(r[header.index("winding_T0")], r[header.index("degenerate")]) for r in rows]
+        assert len(columns["numeric"]) == 11
+        assert columns["numeric"] == columns["analytic"]
+
     def test_numeric_divergence_exits_4_with_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "st.csv"
         with warnings.catch_warnings():
@@ -571,6 +584,14 @@ class TestHysteresisCommand:
         assert main(["hysteresis", "--eta", "0", "--u-tilde", "1e30", "--start-winding", str(2**70),
                      "--format", "json", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["rows"][0]["winding"] == 2**70
+
+    @pytest.mark.parametrize("eta", ["4503599627370497", "4503599627370498"])
+    def test_no_barrier_at_an_integer_past_2_52(self, tmp_path, eta):
+        # m + 0.5 rounded to the even neighbour past 2**52, so at the even eta the peak
+        # landed at x = 0.5 and a barrier of 0.0795774715459 was written; the peak is at 0.5 + pi/2
+        out = tmp_path / "h.csv"
+        assert main(["hysteresis", "--eta", eta, "--u-tilde", "1", "--output", str(out)]) == 0
+        assert out.read_text() == f"eta,direction,winding,barrier_height\n4.50359962737e+15,up,{eta},\n"
 
     def test_window_past_2_53_keeps_the_bytes(self, tmp_path):
         # the window edges eta +- half_window lie past 2**53, where edge + 1 == edge in floats

@@ -1,8 +1,9 @@
 """Symmetries of the numeric ground-state search, as hypothesis properties.
 
-Drawn eta values keep more than 1e-5 from every half-integer, where the two
-neighbouring windings are nearly degenerate; the tie points themselves are
-covered by deterministic tests in test_solver.py and test_sweeps.py.
+Drawn eta values keep more than 1e-9 from every half-integer, so the two
+neighbouring windings differ in energy by more than 2e-9, which the search
+resolves; the tie points themselves are covered by deterministic tests in
+test_solver.py, test_sweeps.py and test_cli.py.
 """
 
 import math
@@ -16,7 +17,7 @@ from acring.solver import global_ground
 from acring.sweeps import StaircaseSpec, eta_grid, staircase
 
 TWO_PI = 2.0 * math.pi
-TIE_GAP = 1e-5
+TIE_GAP = 1e-9
 
 
 def converged_ground(p: RingParams):

@@ -191,7 +191,7 @@ class TestRadialTermDiagnostic:
             for ratio in RADIAL_RATIOS:
                 value, scale = radial_reference(r0, ratio * r0)
                 got = radial_term_diagnostic(_trap(torus_radius=r0, width_rho=ratio * r0))
-                assert abs(got - value) <= 1e-13 * scale, (r0, ratio)
+                assert abs(got - value) <= 3e-15 * scale, (r0, ratio)
 
     def test_matches_scipy_quad(self):
         for r0 in RADIAL_RADII:
@@ -217,6 +217,13 @@ class TestRadialTermDiagnostic:
         # by parts the dropped term equals rho0^2 <1/(2 rho^2)> -> 1/2
         trap = _trap(width_rho=1e-6, torus_radius=1e-3)
         assert radial_term_diagnostic(trap) == pytest.approx(0.5, rel=1e-2)
+
+    @pytest.mark.parametrize("ratio", [1e-7, 1e-10, 1e-12])
+    @pytest.mark.parametrize("r0", RADIAL_RADII)
+    def test_very_thin_torus_is_half_to_roundoff(self, r0, ratio):
+        # the excess over 1/2 is about 1.5 (s / rho0)^2, below the bound; the signed
+        # integrand's two halves, each about rho0 / s, cancelled to 1/2 + 6e-6 at 1e-12
+        assert abs(radial_term_diagnostic(_trap(torus_radius=r0, width_rho=ratio * r0)) - 0.5) <= 1e-13
 
     def test_small_against_kinetic_offset_when_thin(self):
         trap = _trap(width_rho=1e-6, torus_radius=1e-3)

@@ -254,11 +254,24 @@ class TestGlobalGround:
     def test_oracle_equivalence_sampled(self, eta):
         assert converged_ground(params(eta)).winding == ground_winding(params(eta)).winding
 
-    @pytest.mark.parametrize("eta", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize(
+        "eta", [half + offset for half in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5) for offset in (0.0, 1e-9, -1e-9, 1e-7, -1e-7)]
+    )
     def test_half_integer_ties_resolve_like_analytic(self, eta):
-        # lower |winding| numeric tie-break coincides with the analytic
-        # lower-integer rule for positive eta
+        # an exact half-integer ties and goes to the lower winding; 1e-9 off it
+        # the gap of 2e-9 is resolved and picks the nearer one
         assert converged_ground(params(eta)).winding == ground_winding(params(eta)).winding
+
+    @pytest.mark.parametrize("u_over_2pi", [0.2, 2.0])
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9, 1e-7, -1e-7])
+    def test_tie_points_are_gauge_covariant(self, offset, u_over_2pi):
+        # eta -> eta + k shifts the winding by exactly k, at a tie as off it
+        shifts = range(-2, 3)
+        points = [params(0.5 + offset + k, u_over_2pi) for k in shifts]
+        reports = global_grounds(points)
+        assert all(report.converged for report in reports)
+        base = reports[2].winding
+        assert [report.winding for report in reports] == [base + k for k in shifts]
 
     def test_batch_rows_match_standalone_relax(self):
         # rows at two different eta share one batch and converge at different
@@ -357,10 +370,14 @@ class TestGlobalGround:
             psi = RingWavefunction.plane_wave(winding, 64)
             return GroundStateReport(psi, energy + 1.0, energy, winding, 10, True)
 
-        # two seeds relaxed into winding 0, the first stopped farther from the
-        # fixed point; winding 1 ties with both but loses on |winding|
-        pool = [report(0, 2.0 + 5e-7), report(1, 2.0 + 1e-7), report(0, 2.0)]
-        assert _pick_ground(pool) is pool[2]
+        # two seeds relaxed into winding -1, the first stopped farther from the
+        # fixed point; winding 0 ties with both (a roundoff apart) but loses to
+        # the lower winding, and a real gap of 1e-9 is not a tie
+        tolerance = SolverSettings().tolerance
+        pool = [report(-1, 2.0 + 5e-14), report(0, 2.0 - 5e-14), report(-1, 2.0)]
+        assert _pick_ground(pool, tolerance) is pool[2]
+        pool = [report(-1, 2.0 + 1e-9), report(0, 2.0)]
+        assert _pick_ground(pool, tolerance) is pool[1]
 
     def test_unconverged_point_reported_not_raised(self):
         starved = SolverSettings(noise_amplitude=1e-3, max_iterations=3)
