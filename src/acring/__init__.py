@@ -29,7 +29,7 @@ from .solver import (
     relax,
     winding_number,
 )
-from .sweeps import HysteresisRecord, StaircaseSpec, SweepRecord, hysteresis, landscape, staircase
+from .sweeps import StaircaseSpec, hysteresis, landscape, staircase
 from .units import (
     CONSTANTS,
     CrossedFieldSetup,
@@ -68,9 +68,7 @@ __all__ = [
     "global_grounds",
     "relax",
     "winding_number",
-    "HysteresisRecord",
     "StaircaseSpec",
-    "SweepRecord",
     "hysteresis",
     "landscape",
     "staircase",

@@ -34,11 +34,7 @@ from .reduction import (
 )
 from .ring import ground_winding, mu_total
 from .solver import SolverSettings, dump_wavefunction, global_ground, relax
-from .sweeps import StaircaseSpec, eta_grid, hysteresis_columns, landscape_columns, staircase_columns
-
-# perfbench/tracing.py wraps these names in acring.cli; the subcommands call
-# the column builders they are views of
-from .sweeps import hysteresis, landscape, staircase  # noqa: F401
+from .sweeps import StaircaseSpec, eta_grid, hysteresis, landscape, staircase
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -277,6 +273,9 @@ def _run_estimate(p: dict) -> CommandResult:
         setup = units.CrossedFieldSetup(p["polarizability"], p["charges_per_bohr"], p["b_field"])
         header = ["geometry", "polarizability_a0cubed", "charges_per_bohr", "b_gauss", "eta"]
         row = ["crossed", p["polarizability"], p["charges_per_bohr"], p["b_field"], units.eta_cross_field(setup)]
+    for name, value in zip(header, row):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} is {value}: the inputs take the estimate past the float range")
     return CommandResult(header=header, columns=[np.array([value]) for value in row])
 
 
@@ -380,7 +379,7 @@ def _run_staircase(p: dict) -> CommandResult:
         condensate_weight=p["weight"],
     )
     settings = _build_settings(p, default_noise=1e-3) if spec.mode == "numeric" else None
-    columns = staircase_columns(spec, settings)
+    columns = staircase(spec, settings)
     converged = columns.pop("converged")
     if converged.all():
         return CommandResult(list(columns), list(columns.values()))
@@ -392,7 +391,7 @@ def _run_staircase(p: dict) -> CommandResult:
 
 
 def _run_landscape(p: dict) -> CommandResult:
-    points, peaks = landscape_columns(p["m"], p["eta"], _interaction(p), p["x_step"])
+    points, peaks = landscape(p["m"], p["eta"], _interaction(p), p["x_step"])
     if p["peaks_output"] is not None:
         _write_text(p["peaks_output"], _render_csv(list(peaks), list(peaks.values())))
     extras = {"peaks": [dict(zip(peaks, row)) for row in zip(*(column.tolist() for column in peaks.values()))]}
@@ -403,7 +402,7 @@ def _run_hysteresis(p: dict) -> CommandResult:
     path = list(p["eta"])
     if p["loop"] and len(path) > 1:
         path = path + path[-2::-1]
-    columns = hysteresis_columns(path, _interaction(p), p["start_winding"])
+    columns = hysteresis(path, _interaction(p), p["start_winding"])
     return CommandResult(list(columns), list(columns.values()))
 
 

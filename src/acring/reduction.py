@@ -145,8 +145,12 @@ def radial_term_diagnostic(trap: TrapSetup) -> float:
     log-spaced panels in rho from the cutoff up to rho_0 / 2 (toward the
     cutoff the integrand goes like 1/rho), and equal panels in rho - rho_0
     from there to rho_0 + 12 s (only these when the cutoff lies above
-    rho_0 / 2).  The value is within 3e-15 of integral |f| from a 64 x 400
-    panel reference for s_rho / rho_0 from 1e-4 to 3.  Where the range is
+    rho_0 / 2).  Past s_rho = 3 rho_0 equal panels, 12 s wide in all, no
+    longer follow the 1/rho just above rho_0 / 2, and the panels above
+    rho_0 / 2 are log-spaced in rho as well, each spanning at most a factor
+    e^2 (10 panels up to s_rho / rho_0 of about 1e7, more beyond).  The
+    value is within 3e-15 of integral |f| from a 64 x 400 panel reference
+    for s_rho / rho_0 from 1e-4 to 1e20.  Where the range is
     symmetric about rho_0 (s_rho <= rho_0 / 24) the integrand
     -Phi^2 d / (2 s^2 rho), d = rho - rho_0, is taken as
     Phi^2 d^2 / (2 s^2 rho_0 rho): the two differ by an odd function of d,
@@ -168,10 +172,17 @@ def radial_term_diagnostic(trap: TrapSetup) -> float:
         half = 0.5 * np.diff(edges)[:, np.newaxis]
         return (edges[:-1, np.newaxis] + half + half * x).ravel(), (half * w).ravel()
 
-    # nodes near rho_0 are placed by their offset d = rho - rho_0 and nodes
-    # near the cutoff by rho itself, so neither loses digits to a difference
-    d, weights = panels(np.linspace(-min(12.0 * s, 0.5 * rho0), 12.0 * s, _RADIAL_PANELS + 1))
-    r = rho0 + d
+    if s > 3.0 * rho0:
+        # panels at most a factor e^2 wide, placed by rho: the integrand varies on the scale of rho itself
+        top = rho0 + 12.0 * s
+        count = max(_RADIAL_PANELS, math.ceil((math.log(top) - math.log(0.5 * rho0)) / 2.0))
+        r, weights = panels(np.geomspace(0.5 * rho0, top, count + 1))
+        d = r - rho0
+    else:
+        # nodes near rho_0 are placed by their offset d = rho - rho_0 and nodes
+        # near the cutoff by rho itself, so neither loses digits to a difference
+        d, weights = panels(np.linspace(-min(12.0 * s, 0.5 * rho0), 12.0 * s, _RADIAL_PANELS + 1))
+        r = rho0 + d
     # on a range symmetric about rho_0, -d / rho = -d / rho_0 + d^2 / (rho_0 rho) and
     # the odd first part integrates to zero, so only a positive integrand is left
     numerator = d * d / rho0

@@ -238,8 +238,21 @@ def imaginary_time_step(
 
 
 def _kinetic(grid_size: int, eta) -> np.ndarray:
-    """Kinetic multipliers (k - eta)^2; a list of eta gives one row each."""
-    return (mode_numbers(grid_size) - np.asarray(eta, dtype=np.float64)[..., None]) ** 2
+    """Kinetic multipliers (k - eta)^2; a list of eta gives one row each.
+
+    Raises ValueError where a multiplier does not fit in a float (|eta|
+    past about 1.3e154), before any state is built.
+    """
+    eta = np.asarray(eta, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        kin = (mode_numbers(grid_size) - eta[..., None]) ** 2
+    overflow = np.isinf(kin).any(axis=-1)
+    if overflow.any():
+        raise ValueError(
+            f"eta={np.ravel(eta)[np.ravel(overflow)][0]} puts the kinetic multipliers (k - eta)**2 "
+            f"past the float range at grid_size={grid_size}"
+        )
+    return kin
 
 
 def _inner(a, b):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,18 +33,11 @@ from .solver import global_ground  # noqa: F401
 
 __all__ = [
     "StaircaseSpec",
-    "SweepRecord",
-    "HysteresisRecord",
-    "LandscapePoint",
-    "LandscapePeak",
     "LandscapeResult",
     "eta_grid",
     "staircase",
-    "staircase_columns",
     "landscape",
-    "landscape_columns",
     "hysteresis",
-    "hysteresis_columns",
 ]
 
 GRID_DECIMALS = 12  # sweep abscissae snap to this many decimals so that
@@ -121,49 +115,11 @@ class StaircaseSpec:
             raise ValueError("mode must be 'analytic' or 'numeric'")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One staircase row; thermal_mean = w * winding + (1 - w) * eta exactly."""
+class LandscapeResult(NamedTuple):
+    """landscape's two tables, each as column names mapped to columns (see landscape)."""
 
-    eta: float
-    winding_T0: int
-    classical_mean: float
-    thermal_mean: float
-    mu_eff: float
-    degenerate: bool
-    converged: bool = True
-
-
-@dataclass(frozen=True)
-class HysteresisRecord:
-    """One point of the hysteresis walk; barrier_height is None where absent."""
-
-    eta: float
-    direction: str
-    winding: int
-    barrier_height: float | None
-
-
-@dataclass(frozen=True)
-class LandscapePoint:
-    eta: float
-    x: float
-    mu_eff: float
-
-
-@dataclass(frozen=True)
-class LandscapePeak:
-    eta: float
-    x_peak: float
-    mu_peak: float
-    height_from_m: float
-    height_from_m_plus_1: float
-
-
-@dataclass(frozen=True)
-class LandscapeResult:
-    points: list[LandscapePoint]
-    peaks: list[LandscapePeak]
+    points: dict
+    peaks: dict
 
 
 def _finite(name: str, values) -> None:
@@ -192,24 +148,19 @@ def _integers(values: np.ndarray) -> np.ndarray:
     return np.array(list(map(int, values.tolist())), dtype=object)
 
 
-def _cells(column) -> list:
-    """A column's cells as Python values; a (values, index) pair gives values[index], None where index is len(values)."""
-    if isinstance(column, tuple):
-        values, index = column
-        return np.append(values.astype(object), None)[index].tolist()
-    return column.tolist()
+def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> dict[str, np.ndarray]:
+    """Sweep eta: the ground winding and the thermal average, as column names mapped to arrays.
 
-
-def staircase_columns(spec: StaircaseSpec, settings: SolverSettings | None = None) -> dict[str, np.ndarray]:
-    """The staircase as SweepRecord's field names mapped to arrays, in field order.
-
-    eta, classical_mean, thermal_mean and mu_eff are float64; winding_T0 is
-    int64 (an object array of Python ints past int64's range, as at
-    eta = 1e300); degenerate and converged are bool.  The closed forms are
-    evaluated on the whole grid at once.  Numeric mode relaxes every point
-    of the grid in one multi-point search (global_grounds, in bounded
-    chunks).  Non-convergence at a point does not abort the sweep: the best
-    attempt is recorded with converged=False.  Rows come out in eta order;
+    The columns, in order: eta, winding_T0, classical_mean, thermal_mean,
+    mu_eff, degenerate and converged.  thermal_mean is w * winding_T0 +
+    (1 - w) * eta exactly, w the condensate weight.  eta, classical_mean,
+    thermal_mean and mu_eff are float64; winding_T0 is int64 (an object
+    array of Python ints past int64's range, as at eta = 1e300); degenerate
+    and converged are bool.  The closed forms are evaluated on the whole
+    grid at once.  Numeric mode relaxes every point of the grid in one
+    multi-point search (global_grounds, in bounded chunks).
+    Non-convergence at a point does not abort the sweep: the best attempt
+    is recorded with converged=False.  Rows come out in eta order;
     classical_mean is the eta array itself.
     """
     w = spec.condensate_weight
@@ -237,26 +188,24 @@ def staircase_columns(spec: StaircaseSpec, settings: SolverSettings | None = Non
     }
 
 
-def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> list[SweepRecord]:
-    """Sweep eta and record the ground winding plus the thermal average (see staircase_columns)."""
-    return list(map(SweepRecord, *map(_cells, staircase_columns(spec, settings).values())))
+def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeResult:
+    """Two-mode energy surface mu(x) for each eta, with barrier peaks marked.
 
-
-def landscape_columns(m: int, eta_values, u_tilde: float, x_step: float) -> tuple[dict, dict]:
-    """The landscape as (points, peaks): LandscapePoint's and LandscapePeak's field names mapped to columns.
-
-    Tabulates mu_mixed over x in [0, 1] for the winding pair (m, m+1); for
-    every eta whose barrier peak lies strictly inside (0, 1) a peak row
-    records its location, value, and the climb from either endpoint.  Every
-    column is float64.  The points' eta and x repeat by construction, so
-    they come as (values, index) pairs whose cells are values[index]: eta
-    is (etas, each index repeated once per mixing point), x is (mixing
-    grid, its indices tiled once per eta).  More than MAX_GRID_POINTS points
-    in all are rejected before any is computed, and so is an x_step whose
-    grid ends past x = 1 (eta_grid keeps an endpoint within half a step:
-    0.4 gives 0, 0.4, 0.8, 1.2), and an m that a float does not hold
-    exactly.  So is a table whose values overflow floats (|eta - m| past
-    about 1e154, or u_tilde near the float range), before any row is built.
+    The result is (points, peaks), each column names mapped to columns:
+    points eta, x, mu_eff; peaks eta, x_peak, mu_peak, height_from_m,
+    height_from_m_plus_1.  The points tabulate mu_mixed over x in [0, 1]
+    for the winding pair (m, m+1); for every eta whose barrier peak lies
+    strictly inside (0, 1) a peak row records its location, value, and the
+    climb from either endpoint.  Every column is float64.  The points' eta
+    and x repeat by construction, so they come as (values, index) pairs
+    whose cells are values[index]: eta is (etas, each index repeated once
+    per mixing point), x is (mixing grid, its indices tiled once per eta).
+    More than MAX_GRID_POINTS points in all are rejected before any is
+    computed, and so is an x_step whose grid ends past x = 1 (eta_grid
+    keeps an endpoint within half a step: 0.4 gives 0, 0.4, 0.8, 1.2), and
+    an m that a float does not hold exactly.  So is a table whose values
+    overflow floats (|eta - m| past about 1e154, or u_tilde near the float
+    range), before any row is built.
     """
     if x_step <= 0:
         raise ValueError("x_step must be > 0")
@@ -286,16 +235,7 @@ def landscape_columns(m: int, eta_values, u_tilde: float, x_step: float) -> tupl
         "mu_eff": mu.ravel(),
     }
     peak_names = ("eta", "x_peak", "mu_peak", "height_from_m", "height_from_m_plus_1")
-    return points, {name: v[interior] for name, v in zip(peak_names, (etas, x_peak, *values))}
-
-
-def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeResult:
-    """Two-mode energy surface mu(x) for each eta, with barrier peaks marked (see landscape_columns)."""
-    points, peaks = landscape_columns(m, eta_values, u_tilde, x_step)
-    return LandscapeResult(
-        list(map(LandscapePoint, *map(_cells, points.values()))),
-        list(map(LandscapePeak, *map(_cells, peaks.values()))),
-    )
+    return LandscapeResult(points, {name: v[interior] for name, v in zip(peak_names, (etas, x_peak, *values))})
 
 
 def _up(m: np.ndarray) -> np.ndarray:
@@ -365,12 +305,14 @@ def _walk(etas: np.ndarray, u_tilde: float, start_winding: int) -> tuple[np.ndar
     return going_up, winding
 
 
-def hysteresis_columns(eta_path, u_tilde: float, start_winding: int) -> dict:
-    """The hysteresis walk as HysteresisRecord's field names mapped to columns, in field order.
+def hysteresis(eta_path, u_tilde: float, start_winding: int) -> dict:
+    """Walk eta along a path, carrying the winding through metastable plateaus.
 
-    At each point the current winding m survives while the two-mode barrier
-    toward the adjacent lower-mu winding still has an interior peak; once the
-    peak leaves (0, 1) the state slides to that neighbor (see _walk).
+    The walk comes back as column names mapped to columns, in the order
+    eta, direction, winding, barrier_height.  At each point the current
+    winding m survives while the two-mode barrier toward the adjacent
+    lower-mu winding still has an interior peak; once the peak leaves
+    (0, 1) the state slides to that neighbor (see _walk).
 
     eta is float64, direction a (values, index) pair over ("up", "down"),
     winding int64 (Python ints in an object array past int64's range) and
@@ -411,8 +353,3 @@ def hysteresis_columns(eta_path, u_tilde: float, start_winding: int) -> dict:
         "winding": _integers(winding),
         "barrier_height": (heights[inside], np.where(interior, np.cumsum(interior) - 1, len(inside))),
     }
-
-
-def hysteresis(eta_path, u_tilde: float, start_winding: int) -> list[HysteresisRecord]:
-    """Walk eta along a path, carrying the winding through metastable plateaus (see hysteresis_columns)."""
-    return list(map(HysteresisRecord, *map(_cells, hysteresis_columns(eta_path, u_tilde, start_winding).values())))

@@ -71,6 +71,12 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _divisor(value: float, name: str, given: float) -> float:
+    """value, a denominator built from the input name = given; rejected where it rounds to zero."""
+    _require(value != 0, f"{name}={given} is too small: a denominator built from it rounds to zero")
+    return value
+
+
 @dataclass(frozen=True)
 class LineChargeSetup:
     """Infinite charged line threading the ring.
@@ -150,7 +156,8 @@ def required_line_density(eta_target: float, lande_g: float) -> float:
     charges per Compton length.
     """
     _require(lande_g != 0, "lande_g must be nonzero")
-    return eta_target / (lande_g * CONSTANTS.fine_structure_alpha * CONSTANTS.compton_length)
+    denominator = lande_g * CONSTANTS.fine_structure_alpha * CONSTANTS.compton_length
+    return eta_target / _divisor(denominator, "lande_g", lande_g)
 
 
 def field_line_charge(setup: LineChargeSetup) -> float:
@@ -200,7 +207,7 @@ def required_torus_charges(eta_target: float, lande_g: float, torus_radius: floa
     _require(lande_g != 0, "lande_g must be nonzero")
     _require(torus_radius > 0, "torus_radius must be > 0")
     rho0_bar = torus_radius / CONSTANTS.compton_length
-    return 2.0 * rho0_bar * eta_target / (lande_g * CONSTANTS.fine_structure_alpha)
+    return 2.0 * rho0_bar * eta_target / _divisor(lande_g * CONSTANTS.fine_structure_alpha, "lande_g", lande_g)
 
 
 def field_torus(setup: TorusChargeSetup) -> float:
@@ -213,7 +220,7 @@ def field_torus(setup: TorusChargeSetup) -> float:
     """
     rho0_bar = setup.torus_radius / CONSTANTS.compton_length
     alpha = CONSTANTS.fine_structure_alpha
-    return setup.sphere_charge_count / rho0_bar**2 / alpha**2
+    return setup.sphere_charge_count / _divisor(rho0_bar**2, "torus_radius", setup.torus_radius) / alpha**2
 
 
 def eta_cross_field(setup: CrossedFieldSetup) -> float:

@@ -188,18 +188,18 @@ def test_criterion_6_property_suites():
 
     # thermal endpoint laws, exact
     for eta0 in (0.0, 0.3, 0.7, 1.2):
-        full = staircase(StaircaseSpec(eta0, eta0, 1.0, u_tilde=U_FIG, condensate_weight=1.0))[0]
-        none = staircase(StaircaseSpec(eta0, eta0, 1.0, u_tilde=U_FIG, condensate_weight=0.0))[0]
-        assert full.thermal_mean == full.winding_T0
-        assert none.thermal_mean == eta0
+        full = staircase(StaircaseSpec(eta0, eta0, 1.0, u_tilde=U_FIG, condensate_weight=1.0))
+        none = staircase(StaircaseSpec(eta0, eta0, 1.0, u_tilde=U_FIG, condensate_weight=0.0))
+        assert full["thermal_mean"].tolist() == full["winding_T0"].tolist()
+        assert none["thermal_mean"].tolist() == [eta0]
 
     # hysteresis flip points at m + 1/2 +/- u/(2 pi) within one grid step
     u_small = 0.2 * TWO_PI
     step = 0.05
     up = hysteresis(eta_grid(0.0, 1.0, step), u_small, start_winding=0)
     down = hysteresis(list(reversed(eta_grid(0.0, 1.0, step))), u_small, start_winding=1)
-    flip_up = next(r.eta for prev, r in zip(up, up[1:]) if r.winding != prev.winding)
-    flip_down = next(r.eta for prev, r in zip(down, down[1:]) if r.winding != prev.winding)
+    flip_up = up["eta"][1:][np.diff(up["winding"]) != 0][0]
+    flip_down = down["eta"][1:][np.diff(down["winding"]) != 0][0]
     assert abs(flip_up - 0.7) <= step + 1e-12
     assert abs(flip_down - 0.3) <= step + 1e-12
     print("\nACCEPTANCE 6 (property suites): PASS")

@@ -1,6 +1,5 @@
 """CLI behaviour: schemas, exit codes, config precedence, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -14,9 +13,10 @@ import numpy as np
 import pytest
 
 import acring
-from acring import sweeps
 from acring.cli import CommandResult, RunConfig, _render_csv, _render_json, main
-from acring.sweeps import StaircaseSpec, eta_grid, hysteresis, landscape, staircase
+from acring.sweeps import StaircaseSpec, eta_grid, hysteresis
+from test_sweeps import cell_values, hysteresis_loop, landscape_loop, staircase_loop
+from test_tracing_contract import load_tracing
 
 
 def run_cli(args, capsys=None):
@@ -79,6 +79,30 @@ class TestEstimate:
         )
         header2, rows2 = read_csv(out2)
         assert float(dict(zip(header2, rows2[0]))["eta"]) == pytest.approx(6.38e-7, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a denominator rounded to zero: exit 4 "float division by zero" before
+            (["--geometry", "torus", "--eta-target", "1", "--radius", "1e-320"], "torus_radius=1e-320 is too small"),
+            (["--geometry", "line", "--eta-target", "1", "--g-f", "1e-320"], "lande_g=1e-320 is too small"),
+            # a cell past the float range: written as inf with exit 0 before
+            (["--geometry", "line", "--n-e", "1", "--distance", "1e-320"], "field_v_per_cm is inf"),
+            (
+                ["--geometry", "crossed", "--polarizability", "1e300", "--charges-per-bohr", "1e300", "--b-field", "1"],
+                "eta is inf",
+            ),
+        ],
+    )
+    def test_float_extremes_exit_3(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "est.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", *argv, "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: validation:") and message in err_lines[0]
+        assert not out.exists()
 
     def test_conflicting_inputs_exit_3(self, capsys):
         code = main(
@@ -188,6 +212,19 @@ class TestSolve:
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 4
         assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
+
+    @pytest.mark.parametrize("eta", ["1e300", "-2e154"])
+    def test_seeded_eta_past_the_kinetic_range_exits_3(self, tmp_path, capsys, eta):
+        # (k - eta)**2 overflowed with a numpy RuntimeWarning, and the descent then diverged (exit 4)
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", f"--eta={eta}", "--u-tilde", "1", "--grid-size", "64", "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: validation:")
+        assert f"eta={float(eta)}" in err_lines[0] and "grid_size=64" in err_lines[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("search", [["--global"], ["--noise-amplitude", "1e-3"]])
     def test_strong_interaction_converges_to_the_plane_wave(self, tmp_path, search):
@@ -532,8 +569,8 @@ class TestHysteresisCommand:
         assert row[:3] == ["0.5", "up", "0"]
         assert float(row[3]) > 0.0
         assert abs(Fraction(float(row[3])) - exact) <= Fraction(1e-11) * exact  # printed to 12 digits
-        (record,) = hysteresis([0.5], float(u_tilde), 0)
-        assert abs(Fraction(record.barrier_height) - exact) <= Fraction(1e-13) * exact
+        (height,) = cell_values(hysteresis([0.5], float(u_tilde), 0)["barrier_height"])
+        assert abs(Fraction(height) - exact) <= Fraction(1e-13) * exact
 
     def test_overflow_off_the_path_is_not_reported(self, tmp_path, capsys):
         # at a subnormal u_tilde the peak sits outside (0, 1): no barrier, and no numpy RuntimeWarning
@@ -730,15 +767,6 @@ def typed(column):
     return array
 
 
-def cell_values(column):
-    """A column's cells as Python values: a (values, index) pair is values[index], None at index len(values)."""
-    if isinstance(column, tuple):
-        values, index = column
-        pool = values.tolist() + [None]
-        return [pool[i] for i in index.tolist()]
-    return column.tolist()
-
-
 class TestColumnarRendering:
     """_render_csv and _render_json take columns and give the text in pieces; these references write one cell or dict at a time.
 
@@ -884,61 +912,67 @@ class TestColumnarRendering:
         assert "".join(_render_csv(["n", "x", "flag"], columns)).count("\n") == rows + 1
 
 
+STAIRCASE_HEADER = ["eta", "winding_T0", "classical_mean", "thermal_mean", "mu_eff", "degenerate"]
+LANDSCAPE_HEADER = ["eta", "x", "mu_eff"]
+PEAK_HEADER = ["eta", "x_peak", "mu_peak", "height_from_m", "height_from_m_plus_1"]
+HYSTERESIS_HEADER = ["eta", "direction", "winding", "barrier_height"]
+
+
+def staircase_table(spec):
+    """The staircase's per-point rows as the CLI writes them, without the converged column."""
+    return STAIRCASE_HEADER, [row[:-1] for row in staircase_loop(spec)], None
+
+
+def landscape_table(m, etas, u_tilde, x_step):
+    points, peaks = landscape_loop(m, etas, u_tilde, x_step)
+    return LANDSCAPE_HEADER, points, (PEAK_HEADER, peaks)
+
+
+def hysteresis_table(path, u_tilde, m):
+    return HYSTERESIS_HEADER, hysteresis_loop(path, u_tilde, m), None
+
+
 class TestSweepsFromColumns:
-    """The CLI writes the analytic sweeps from their columns and builds no per-point record."""
+    """The CLI writes the analytic sweeps from their columns: the bytes equal a rendering of the per-point rows."""
 
     CASES = [
         pytest.param(
             ["staircase", "--eta=-2.5:0.5:0.05", "--u-tilde-over-2pi", "0.7", "--weight", "0.3"],
-            lambda: staircase(StaircaseSpec(-2.5, 0.5, 0.05, u_tilde=0.7 * 2.0 * math.pi, condensate_weight=0.3)),
+            lambda: staircase_table(StaircaseSpec(-2.5, 0.5, 0.05, u_tilde=0.7 * 2.0 * math.pi, condensate_weight=0.3)),
             id="staircase-negative-and-half-integers",
         ),
         pytest.param(
             ["staircase", "--eta=-0.5000001:-0.4999999:1e-8", "--u-tilde", "1", "--weight", "0.6"],
-            lambda: staircase(StaircaseSpec(-0.5000001, -0.4999999, 1e-8, u_tilde=1.0, condensate_weight=0.6)),
+            lambda: staircase_table(StaircaseSpec(-0.5000001, -0.4999999, 1e-8, u_tilde=1.0, condensate_weight=0.6)),
             id="staircase-near-minus-half",
         ),
         pytest.param(
             ["staircase", "--eta=0.4999999:0.5000001:1e-8", "--u-tilde", "1"],
-            lambda: staircase(StaircaseSpec(0.4999999, 0.5000001, 1e-8, u_tilde=1.0)),
+            lambda: staircase_table(StaircaseSpec(0.4999999, 0.5000001, 1e-8, u_tilde=1.0)),
             id="staircase-near-half",
         ),
         pytest.param(  # the winding is a 301-digit integer, past any int64
             ["staircase", "--eta=1e300:1e300:1", "--u-tilde", "1"],
-            lambda: staircase(StaircaseSpec(1e300, 1e300, 1.0, u_tilde=1.0)),
+            lambda: staircase_table(StaircaseSpec(1e300, 1e300, 1.0, u_tilde=1.0)),
             id="staircase-1e300",
         ),
         pytest.param(
             ["landscape", "--m=-1", "--eta=-1.5,-0.5,0.4999999,0.5,-0.0,2.5", "--u-tilde", "3", "--x-step", "0.05"],
-            lambda: landscape(-1, [-1.5, -0.5, 0.4999999, 0.5, -0.0, 2.5], 3.0, 0.05),
+            lambda: landscape_table(-1, [-1.5, -0.5, 0.4999999, 0.5, -0.0, 2.5], 3.0, 0.05),
             id="landscape",
         ),
         pytest.param(
             ["hysteresis", "--eta=-2:2:0.05", "--u-tilde-over-2pi", "0.2", "--loop", "--start-winding=-1"],
-            lambda: hysteresis((lambda p: p + p[-2::-1])(eta_grid(-2.0, 2.0, 0.05)), 0.2 * 2.0 * math.pi, -1),
+            lambda: hysteresis_table((lambda p: p + p[-2::-1])(eta_grid(-2.0, 2.0, 0.05)), 0.2 * 2.0 * math.pi, -1),
             id="hysteresis-loop",
         ),
     ]
 
-    @staticmethod
-    def table(records):
-        header = [f.name for f in dataclasses.fields(records[0]) if f.name != "converged"]
-        return header, [[getattr(record, name) for name in header] for record in records]
-
-    @pytest.mark.parametrize("argv, records", CASES)
-    def test_bytes_equal_a_rendering_of_the_records(self, tmp_path, monkeypatch, argv, records):
-        result = records()
-        points, peaks = (result.points, result.peaks) if argv[0] == "landscape" else (result, None)
-        header, rows = self.table(points)
+    @pytest.mark.parametrize("argv, table", CASES)
+    def test_bytes_equal_a_rendering_of_the_records(self, tmp_path, argv, table):
+        header, rows, peaks = table()
         if argv[0] == "hysteresis":  # empty barrier_height cells among full ones
             assert any(row[-1] is None for row in rows) and any(row[-1] is not None for row in rows)
-
-        class Forbidden:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("the CLI built a per-point record")
-
-        for name in ("SweepRecord", "LandscapePoint", "LandscapePeak", "HysteresisRecord"):
-            monkeypatch.setattr(sweeps, name, Forbidden)
         reference = TestColumnarRendering()
         peaks_out = tmp_path / "peaks.csv"
         extra = ["--peaks-output", str(peaks_out)] if peaks is not None else []
@@ -952,12 +986,31 @@ class TestSweepsFromColumns:
             payload = json.loads(text)
             payload["rows"] = [dict(zip(header, row)) for row in rows]
             if peaks is not None:
-                peak_header, peak_rows = self.table(peaks)
+                peak_header, peak_rows = peaks
                 payload["peaks"] = [dict(zip(peak_header, row)) for row in peak_rows]
             assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if peaks is not None:
-            assert peaks
-            assert peaks_out.read_text() == reference.reference_csv(*self.table(peaks))
+            assert peaks[1]
+            assert peaks_out.read_text() == reference.reference_csv(*peaks)
+
+
+def test_traced_sweep_commands_open_one_sweeps_span_each(tmp_path):
+    # perfbench/tracing.py wraps acring.cli.staircase, landscape and hysteresis, and
+    # counts a landscape's points from the result's .points
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    calls = [
+        ["staircase", "--eta=0:1:0.25", "--u-tilde", "1"],
+        ["landscape", "--eta=0.25,0.5", "--u-tilde", "1", "--x-step", "0.5", "--format", "json"],
+        ["hysteresis", "--eta=0,0.5,1", "--u-tilde", "1"],
+    ]
+    try:
+        tracer.install()
+        codes = [main(argv + ["--output", str(tmp_path / f"{k}.out")]) for k, argv in enumerate(calls)]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    assert [span.name for span in tracer.spans if span.layer == "sweeps"] == ["staircase", "landscape", "hysteresis"]
 
 
 class TestCachedParser:

@@ -60,8 +60,8 @@ def test_numeric_staircase_matches_closed_form(start, step, points, u2):
     stop = start + (points - 1) * step
     assume(all(off_tie(eta) for eta in eta_grid(start, stop, step)))
     u_tilde = u2 * TWO_PI
-    records = staircase(StaircaseSpec(start, stop, step, u_tilde=u_tilde, mode="numeric"))
-    assert len(records) == points
-    for record in records:
-        assert record.converged
-        assert record.winding_T0 == ground_winding(RingParams(eta=record.eta, u_tilde=u_tilde)).winding
+    columns = staircase(StaircaseSpec(start, stop, step, u_tilde=u_tilde, mode="numeric"))
+    assert len(columns["eta"]) == points
+    assert columns["converged"].all()
+    closed_form = [ground_winding(RingParams(eta=eta, u_tilde=u_tilde)).winding for eta in columns["eta"].tolist()]
+    assert columns["winding_T0"].tolist() == closed_form

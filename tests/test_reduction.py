@@ -151,7 +151,9 @@ def radial_reference(r0: float, s: float, panels: int = 64, nodes: int = 400) ->
     """Oracle: (rho0^2 * integral, rho0^2 * integral of |integrand|) by a fine composite Gauss-Legendre rule.
 
     Built apart from the library's rule, by substitution: below rho0 / 2
-    in t = ln rho (equal panels in t), above it in u = (rho - rho0) / s.
+    in t = ln rho (equal panels in t), above it in u = (rho - rho0) / s, or
+    past s = 3 rho0 in t again: there the integrand's 1/rho just above
+    rho0 / 2 is narrow on the scale of s.
     """
     x, w = gauss_legendre(nodes)
 
@@ -160,8 +162,13 @@ def radial_reference(r0: float, s: float, panels: int = 64, nodes: int = 400) ->
         half = 0.5 * np.diff(edges)[:, np.newaxis]
         return (edges[:-1, np.newaxis] + half + half * x).ravel(), (half * w).ravel()
 
-    u, wu = rule(-min(12.0, 0.5 * r0 / s), 12.0)
-    f = radial_integrand(r0 + s * u, s * u, r0, s) * s * wu
+    if s > 3.0 * r0:
+        t, wt = rule(math.log(0.5 * r0), math.log(r0 + 12.0 * s))
+        r = np.exp(t)
+        f = radial_integrand(r, r - r0, r0, s) * r * wt
+    else:
+        u, wu = rule(-min(12.0, 0.5 * r0 / s), 12.0)
+        f = radial_integrand(r0 + s * u, s * u, r0, s) * s * wu
     if 12.0 * s > 0.5 * r0:
         t, wt = rule(math.log(max(r0 - 12.0 * s, 1e-9 * r0)), math.log(0.5 * r0))
         r = np.exp(t)
@@ -178,6 +185,8 @@ def radial_by_quad(r0: float, s: float) -> float:
 # radius of 1 m puts rho0 on a binade edge, where nodes placed by rho alone
 # lose digits of rho - rho0
 RADIAL_RATIOS = np.geomspace(1e-4, 3.0, 40).tolist()
+# past 3 the panels above rho0 / 2 are log-spaced, and from about 1e7 on there are more of them
+WIDE_RATIOS = [3.0000001, *np.geomspace(4.0, 1e20, 25).tolist()]
 RADIAL_RADII = (1e-5, 1e-3, 1.0)
 
 
@@ -189,6 +198,14 @@ class TestRadialTermDiagnostic:
     def test_matches_fine_composite_reference(self):
         for r0 in RADIAL_RADII:
             for ratio in RADIAL_RATIOS:
+                value, scale = radial_reference(r0, ratio * r0)
+                got = radial_term_diagnostic(_trap(torus_radius=r0, width_rho=ratio * r0))
+                assert abs(got - value) <= 3e-15 * scale, (r0, ratio)
+
+    def test_thick_torus_matches_fine_composite_reference(self):
+        # equal panels in rho - rho0 were off by 2.5e-9, 1.2e-4 and 6.1e-4 of integral |f| at 10, 100 and 1000
+        for r0 in RADIAL_RADII:
+            for ratio in WIDE_RATIOS:
                 value, scale = radial_reference(r0, ratio * r0)
                 got = radial_term_diagnostic(_trap(torus_radius=r0, width_rho=ratio * r0))
                 assert abs(got - value) <= 3e-15 * scale, (r0, ratio)

@@ -12,19 +12,28 @@ from acring import solver, sweeps
 from acring.reduction import RingParams
 from acring.ring import MixedState, barrier, ground_winding, mu_mixed
 from acring.solver import SolverSettings, global_ground
-from acring.sweeps import (
-    HysteresisRecord,
-    LandscapePeak,
-    LandscapePoint,
-    StaircaseSpec,
-    SweepRecord,
-    eta_grid,
-    hysteresis,
-    landscape,
-    staircase,
-)
+from acring.sweeps import StaircaseSpec, eta_grid, hysteresis, landscape, staircase
 
 TWO_PI = 2.0 * math.pi
+
+
+def cell_values(column):
+    """A column's cells as Python values: a (values, index) pair is values[index], None at index len(values)."""
+    if isinstance(column, tuple):
+        values, index = column
+        pool = values.tolist() + [None]
+        return [pool[i] for i in index.tolist()]
+    return column.tolist()
+
+
+def rows(columns):
+    """A sweep's table, column names mapped to columns, as one tuple of Python values per row."""
+    return list(zip(*map(cell_values, columns.values())))
+
+
+def flips(walk):
+    """The etas of a hysteresis walk at which the winding differs from the point before."""
+    return walk["eta"][1:][np.diff(walk["winding"]) != 0].tolist()
 
 
 def stepwise_settled_winding(m, eta, u_tilde):
@@ -149,30 +158,28 @@ class TestIntegerGrid:
 class TestStaircaseAnalytic:
     def test_pure_condensate_traces_integer_steps(self):
         spec = StaircaseSpec(0.0, 3.0, 0.1, u_tilde=2 * TWO_PI, condensate_weight=1.0)
-        records = staircase(spec)
-        for r in records:
-            assert r.thermal_mean == r.winding_T0
-            expected = math.floor(r.eta + 0.5) if (r.eta - math.floor(r.eta)) != 0.5 else math.floor(r.eta)
-            assert r.winding_T0 == expected
-        jumps = [r.eta for prev, r in zip(records, records[1:]) if r.winding_T0 != prev.winding_T0]
+        columns = staircase(spec)
+        etas, windings = columns["eta"], columns["winding_T0"]
+        assert (columns["thermal_mean"] == windings).all()
+        expected = [math.floor(eta + 0.5) if (eta - math.floor(eta)) != 0.5 else math.floor(eta) for eta in etas.tolist()]
+        assert windings.tolist() == expected
+        jumps = etas[1:][np.diff(windings) != 0].tolist()
         assert jumps == [0.6, 1.6, 2.6]  # first grid point past each half integer
 
     def test_degenerate_points_flagged(self):
-        spec = StaircaseSpec(0.0, 3.0, 0.1, u_tilde=2 * TWO_PI)
-        flagged = [r.eta for r in staircase(spec) if r.degenerate]
-        assert flagged == [0.5, 1.5, 2.5]
+        columns = staircase(StaircaseSpec(0.0, 3.0, 0.1, u_tilde=2 * TWO_PI))
+        assert columns["eta"][columns["degenerate"]].tolist() == [0.5, 1.5, 2.5]
 
     def test_zero_weight_reproduces_classical_line(self):
-        spec = StaircaseSpec(0.0, 2.0, 0.05, u_tilde=TWO_PI, condensate_weight=0.0)
-        for r in staircase(spec):
-            assert r.thermal_mean == r.eta
-            assert r.classical_mean == r.eta
+        columns = staircase(StaircaseSpec(0.0, 2.0, 0.05, u_tilde=TWO_PI, condensate_weight=0.0))
+        assert (columns["thermal_mean"] == columns["eta"]).all()
+        assert (columns["classical_mean"] == columns["eta"]).all()
 
     def test_intermediate_weight_examples(self):
-        spec = StaircaseSpec(0.0, 1.0, 0.1, u_tilde=2 * TWO_PI, condensate_weight=0.6)
-        records = {r.eta: r for r in staircase(spec)}
-        assert records[1.0].thermal_mean == pytest.approx(1.0, abs=1e-15)
-        assert records[0.7].thermal_mean == pytest.approx(0.88, abs=1e-15)
+        columns = staircase(StaircaseSpec(0.0, 1.0, 0.1, u_tilde=2 * TWO_PI, condensate_weight=0.6))
+        thermal = dict(zip(columns["eta"].tolist(), columns["thermal_mean"].tolist()))
+        assert thermal[1.0] == pytest.approx(1.0, abs=1e-15)
+        assert thermal[0.7] == pytest.approx(0.88, abs=1e-15)
 
     def test_thermal_mean_linear_in_weight(self):
         u = 2 * TWO_PI
@@ -180,14 +187,25 @@ class TestStaircaseAnalytic:
             values = {}
             for w in (0.0, 0.25, 0.5, 1.0):
                 spec = StaircaseSpec(eta, eta, 1.0, u_tilde=u, condensate_weight=w)
-                values[w] = staircase(spec)[0].thermal_mean
+                (values[w],) = staircase(spec)["thermal_mean"].tolist()
             assert values[0.5] == pytest.approx(0.5 * (values[0.0] + values[1.0]), abs=1e-15)
             assert values[0.25] == pytest.approx(0.75 * values[0.0] + 0.25 * values[1.0], abs=1e-15)
 
     def test_monotone_unique_abscissae(self):
-        records = staircase(StaircaseSpec(0.0, 1.0, 0.05, u_tilde=TWO_PI))
-        etas = [r.eta for r in records]
+        etas = staircase(StaircaseSpec(0.0, 1.0, 0.05, u_tilde=TWO_PI))["eta"].tolist()
         assert etas == sorted(set(etas))
+
+    def test_column_dtypes(self):
+        analytic = staircase(StaircaseSpec(-0.5, 0.5, 0.25, u_tilde=TWO_PI))
+        numeric = staircase(StaircaseSpec(0.25, 0.25, 1.0, u_tilde=TWO_PI, mode="numeric"))
+        for columns in (analytic, numeric):
+            assert list(columns) == [
+                "eta", "winding_T0", "classical_mean", "thermal_mean", "mu_eff", "degenerate", "converged"
+            ]
+            float64, int64 = np.float64, np.int64
+            assert [column.dtype for column in columns.values()] == [float64, int64, float64, float64, float64, bool, bool]
+        (winding,) = staircase(StaircaseSpec(1e300, 1e300, 1.0, u_tilde=1.0))["winding_T0"]
+        assert type(winding) is int and winding == int(1e300)  # past int64: Python ints in an object array
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -203,10 +221,9 @@ class TestStaircaseNumeric:
         u = 2 * TWO_PI
         numeric = staircase(StaircaseSpec(0.0, 1.0, 0.25, u_tilde=u, mode="numeric"))
         analytic = staircase(StaircaseSpec(0.0, 1.0, 0.25, u_tilde=u, mode="analytic"))
-        for n, a in zip(numeric, analytic):
-            assert n.converged
-            assert n.winding_T0 == a.winding_T0
-            assert n.mu_eff == pytest.approx(a.mu_eff, rel=1e-6)
+        assert numeric["converged"].all()
+        assert numeric["winding_T0"].tolist() == analytic["winding_T0"].tolist()
+        assert numeric["mu_eff"].tolist() == pytest.approx(analytic["mu_eff"].tolist(), rel=1e-6)
 
     # negative eta at an exact half-integer, a point off the steps, and a
     # near tie 1e-7 above a half-integer
@@ -238,14 +255,15 @@ class TestStaircaseNumeric:
         monkeypatch.setattr(sweeps, "global_grounds", grounds)
         return staircase(self.BATCHED_SPEC), reports, batches
 
-    def _assert_matches(self, records, reports, per_point):
-        assert len(records) == len(reports) == len(per_point) == 3
-        for record, report, single in zip(records, reports, per_point):
-            assert record.winding_T0 == report.winding == single.winding
-            assert record.mu_eff == report.mu
+    def _assert_matches(self, columns, reports, per_point):
+        assert len(columns["eta"]) == len(reports) == len(per_point) == 3
+        sweep = zip(columns["winding_T0"].tolist(), columns["mu_eff"].tolist(), columns["converged"].tolist())
+        for (winding, mu, converged), report, single in zip(sweep, reports, per_point):
+            assert winding == report.winding == single.winding
+            assert mu == report.mu
             assert report.mu == pytest.approx(single.mu, rel=1e-12)
             assert report.iterations == single.iterations
-            assert record.converged == report.converged == single.converged
+            assert converged == report.converged == single.converged
 
     def test_batched_sweep_matches_per_point_search(self, per_point, monkeypatch):
         records, reports, batches = self._batched_sweep(monkeypatch)
@@ -261,32 +279,29 @@ class TestStaircaseNumeric:
 
     def test_nonconvergence_flagged_but_sweep_continues(self):
         starved = SolverSettings(noise_amplitude=1e-3, max_iterations=3)
-        records = staircase(
-            StaircaseSpec(0.2, 0.4, 0.2, u_tilde=2 * TWO_PI, mode="numeric"), settings=starved
-        )
-        assert len(records) == 2
-        assert all(not r.converged for r in records)
+        columns = staircase(StaircaseSpec(0.2, 0.4, 0.2, u_tilde=2 * TWO_PI, mode="numeric"), settings=starved)
+        assert columns["converged"].tolist() == [False, False]
 
 
 class TestLandscape:
     def test_symmetric_barrier_shape(self):
         result = landscape(0, [0.5], u_tilde=2 * TWO_PI, x_step=0.25)
-        by_x = {round(p.x, 12): p.mu_eff for p in result.points}
+        by_x = {round(x, 12): mu for _, x, mu in rows(result.points)}
         assert by_x[0.0] == pytest.approx(2.25, abs=1e-13)
         assert by_x[1.0] == pytest.approx(2.25, abs=1e-13)
-        assert len(result.peaks) == 1
-        peak = result.peaks[0]
-        assert peak.x_peak == pytest.approx(0.5, abs=1e-15)
-        assert peak.mu_peak == pytest.approx(3.25, abs=1e-13)
+        (peak,) = rows(result.peaks)
+        _, x_peak, mu_peak, _, _ = peak
+        assert x_peak == pytest.approx(0.5, abs=1e-15)
+        assert mu_peak == pytest.approx(3.25, abs=1e-13)
 
     def test_asymmetric_point_prefers_lower_winding(self):
         result = landscape(0, [0.3], u_tilde=2 * TWO_PI, x_step=0.5)
-        by_x = {round(p.x, 12): p.mu_eff for p in result.points}
+        by_x = {round(x, 12): mu for _, x, mu in rows(result.points)}
         assert by_x[0.0] < by_x[1.0]
 
     def test_peak_absent_outside_window(self):
         result = landscape(0, [3.0], u_tilde=0.2 * TWO_PI, x_step=0.5)
-        assert result.peaks == []
+        assert rows(result.peaks) == []
 
     def test_rejects_degenerate_interaction(self):
         with pytest.raises(ValueError):
@@ -300,7 +315,18 @@ class TestLandscape:
             landscape(0, [0.5], u_tilde=1.0, x_step=0.4)
         with pytest.raises(ValueError, match="x_step"):
             landscape(0, [], u_tilde=1.0, x_step=1.5)
-        assert [p.x for p in landscape(0, [0.5], u_tilde=1.0, x_step=0.3).points] == [0.0, 0.3, 0.6, 0.9]
+        assert cell_values(landscape(0, [0.5], u_tilde=1.0, x_step=0.3).points["x"]) == [0.0, 0.3, 0.6, 0.9]
+
+    def test_column_dtypes(self):
+        points, peaks = landscape(-1, [-0.5, 0.5, 3.0], u_tilde=1.0, x_step=0.5)
+        assert list(points) == ["eta", "x", "mu_eff"]
+        assert list(peaks) == ["eta", "x_peak", "mu_peak", "height_from_m", "height_from_m_plus_1"]
+        (etas, eta_index), (xs, x_index) = points["eta"], points["x"]
+        assert etas.tolist() == [-0.5, 0.5, 3.0] and xs.tolist() == [0.0, 0.5, 1.0]
+        assert eta_index.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2] and x_index.tolist() == [0, 1, 2] * 3
+        assert {etas.dtype, xs.dtype, points["mu_eff"].dtype} == {np.dtype(np.float64)}
+        assert {column.dtype for column in peaks.values()} == {np.dtype(np.float64)}
+        assert peaks["eta"].tolist() == [-0.5]  # the only interior peak of the pair (-1, 0)
 
     def test_joint_cap_rejects_before_any_point(self, monkeypatch):
         # 1001 eta values x 100001 mixing steps = 1e8 points, each grid alone allowed
@@ -318,37 +344,31 @@ class TestLandscape:
 class TestHysteresis:
     def test_flip_points_for_small_interaction(self):
         u = 0.2 * TWO_PI  # metastability half-window 0.2
-        up = hysteresis(eta_grid(0.0, 1.0, 0.05), u, start_winding=0)
-        flips_up = [r.eta for prev, r in zip(up, up[1:]) if r.winding != prev.winding]
-        assert flips_up == [0.7]
-        down = hysteresis(list(reversed(eta_grid(0.0, 1.0, 0.05))), u, start_winding=1)
-        flips_down = [r.eta for prev, r in zip(down, down[1:]) if r.winding != prev.winding]
-        assert flips_down == [0.3]
+        assert flips(hysteresis(eta_grid(0.0, 1.0, 0.05), u, start_winding=0)) == [0.7]
+        assert flips(hysteresis(list(reversed(eta_grid(0.0, 1.0, 0.05))), u, start_winding=1)) == [0.3]
 
     def test_strong_interaction_keeps_winding_over_unit_loop(self):
         u = 2 * TWO_PI
         path = eta_grid(0.0, 1.0, 0.05)
         loop = path + path[-2::-1]
-        records = hysteresis(loop, u, start_winding=0)
-        assert all(r.winding == 0 for r in records)
+        assert (hysteresis(loop, u, start_winding=0)["winding"] == 0).all()
 
     def test_vanishing_interaction_flips_at_half_without_hysteresis(self):
         u = 1e-9
         step = 0.05
         up = hysteresis(eta_grid(0.0, 1.0, step), u, start_winding=0)
         down = hysteresis(list(reversed(eta_grid(0.0, 1.0, step))), u, start_winding=1)
-        flip_up = next(r.eta for prev, r in zip(up, up[1:]) if r.winding != prev.winding)
-        flip_down = next(r.eta for prev, r in zip(down, down[1:]) if r.winding != prev.winding)
+        flip_up, flip_down = flips(up)[0], flips(down)[0]
         assert abs(flip_up - 0.5) <= step + 1e-12
         assert abs(flip_down - 0.5) <= step + 1e-12
 
     def test_winding_changes_only_where_barrier_absent(self):
         u = 0.3 * TWO_PI
         path = eta_grid(0.0, 2.0, 0.1)
-        records = hysteresis(path + path[-2::-1], u, start_winding=0)
-        for prev, r in zip(records, records[1:]):
-            if r.winding != prev.winding:
-                assert r.barrier_height is None
+        walk = hysteresis(path + path[-2::-1], u, start_winding=0)
+        heights = cell_values(walk["barrier_height"])
+        changed = np.flatnonzero(np.diff(walk["winding"])) + 1
+        assert len(changed) and all(heights[i] is None for i in changed)
 
     def test_loop_area_grows_with_interaction(self):
         step = 0.02
@@ -356,16 +376,15 @@ class TestHysteresis:
         areas = []
         for u_over in (0.1, 0.2, 0.3):
             u = u_over * TWO_PI
-            up = {r.eta: r.winding for r in hysteresis(path_up, u, 0)}
-            down = {r.eta: r.winding for r in hysteresis(list(reversed(path_up)), u, 1)}
+            up = dict(zip(path_up, hysteresis(path_up, u, 0)["winding"].tolist()))
+            down = dict(zip(path_up[::-1], hysteresis(path_up[::-1], u, 1)["winding"].tolist()))
             areas.append(step * sum(down[e] - up[e] for e in path_up))
         assert areas[0] <= areas[1] <= areas[2]
         assert areas[0] < areas[2]
 
     def test_direction_labels(self):
         path = [0.0, 0.2, 0.4, 0.2, 0.0]
-        records = hysteresis(path, TWO_PI, 0)
-        assert [r.direction for r in records] == ["up", "up", "up", "down", "down"]
+        assert cell_values(hysteresis(path, TWO_PI, 0)["direction"]) == ["up", "up", "up", "down", "down"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -375,11 +394,16 @@ class TestHysteresis:
         with pytest.raises(ValueError):
             hysteresis([0.0, 0.5], 0.0, 0)
 
-    def test_record_type(self):
-        record = hysteresis([0.1], TWO_PI, 0)[0]
-        assert isinstance(record, HysteresisRecord)
-        assert record.direction == "up"
-        assert record.winding == 0
+    def test_column_dtypes(self):
+        walk = hysteresis([0.4, 0.6, 1.0, 0.6], 0.2 * TWO_PI, 0)
+        assert list(walk) == ["eta", "direction", "winding", "barrier_height"]
+        assert walk["eta"].dtype == np.float64 and walk["winding"].dtype == np.int64
+        (directions, down), (heights, index) = walk["direction"], walk["barrier_height"]
+        assert directions.tolist() == ["up", "down"] and down.tolist() == [0, 0, 0, 1]
+        assert heights.dtype == np.float64 and index.tolist() == [0, 1, 3, 2]  # index 3 = len(heights): no barrier
+        assert [row[1:] for row in rows(walk)] == [
+            ("up", 0, heights[0]), ("up", 0, heights[1]), ("up", 1, None), ("down", 1, heights[2])
+        ]
 
 
 class TestSettledWinding:
@@ -391,7 +415,7 @@ class TestSettledWinding:
             u_tilde = float(rng.choice([1e-9, 0.3, TWO_PI, 40.0])) * float(rng.uniform(0.5, 2.0))
             start = int(rng.integers(-3000, 3000))
             path = (np.cumsum(rng.uniform(-1.0, 1.0, 20)) + float(rng.uniform(-3000, 3000))).tolist()
-            assert [r.winding for r in hysteresis(path, u_tilde, start)] == stepwise_walk(path, u_tilde, start)
+            assert hysteresis(path, u_tilde, start)["winding"].tolist() == stepwise_walk(path, u_tilde, start)
 
     def test_window_edges_decided_by_the_step_comparison(self):
         # eta - m == half_window (and m - eta) exactly in floats: a slide
@@ -405,17 +429,17 @@ class TestSettledWinding:
                     edges += on_edge
                     for near in (eta, math.nextafter(eta, -math.inf), math.nextafter(eta, math.inf)):
                         for start in (m - 5000, m - 2, m, m + 2, m + 5000):
-                            (record,) = hysteresis([near], u_tilde, start)
-                            assert record.winding == stepwise_settled_winding(start, near, u_tilde)
+                            (winding,) = hysteresis([near], u_tilde, start)["winding"].tolist()
+                            assert winding == stepwise_settled_winding(start, near, u_tilde)
         assert edges >= 30  # about half of the constructed points sit exactly on an edge
 
     def test_far_starts_return_at_once(self):
         began = time.perf_counter()
-        (far,) = hysteresis([1e12], 1.0, 0)
-        (back,) = hysteresis([0.0], 1.0, 1_000_000_000)
-        (below,) = hysteresis([-1e12], 1.0, 0)
+        (far,) = hysteresis([1e12], 1.0, 0)["winding"].tolist()
+        (back,) = hysteresis([0.0], 1.0, 1_000_000_000)["winding"].tolist()
+        (below,) = hysteresis([-1e12], 1.0, 0)["winding"].tolist()
         assert time.perf_counter() - began < 1.0  # single steps would take hours
-        assert far.winding == 10**12 and back.winding == 0 and below.winding == -(10**12)
+        assert far == 10**12 and back == 0 and below == -(10**12)
 
     @staticmethod
     @st.composite
@@ -460,7 +484,7 @@ class TestSettledWinding:
         assert 0.5 + u_tilde / TWO_PI == 0.5
         below, above = math.floor(eta), math.ceil(eta)
         for start, settled in ((below - 7, below), (below, below), (above, above), (above + 7, above)):
-            assert [r.winding for r in hysteresis([eta], u_tilde, start)] == [settled]
+            assert hysteresis([eta], u_tilde, start)["winding"].tolist() == [settled]
             assert stepwise_settled_winding(start, eta, u_tilde) == settled
 
     def test_windings_stay_float_held_past_2_53(self):
@@ -469,9 +493,10 @@ class TestSettledWinding:
         # comparison rounds it to 2**53 first.
         eta, u_tilde = 2.0**53 - 1, TWO_PI
         assert stepwise_settled_winding(2**53 + 100, eta, u_tilde) == 2**53 + 1
-        (record,) = hysteresis([eta], u_tilde, 2**53 + 100)
-        assert record.winding == 2**53 and float(record.winding) == record.winding
-        assert hysteresis([eta], u_tilde, 2**53 - 100)[0].winding == 2**53 - 2 == stepwise_settled_winding(2**53 - 100, eta, u_tilde)
+        (winding,) = hysteresis([eta], u_tilde, 2**53 + 100)["winding"].tolist()
+        assert winding == 2**53 and float(winding) == winding
+        (winding,) = hysteresis([eta], u_tilde, 2**53 - 100)["winding"].tolist()
+        assert winding == 2**53 - 2 == stepwise_settled_winding(2**53 - 100, eta, u_tilde)
 
 
 def test_non_finite_inputs_rejected():
@@ -488,46 +513,49 @@ def test_non_finite_inputs_rejected():
         staircase(StaircaseSpec(0.0, 1.0, 0.5, u_tilde=nan))
 
 
+# Per-point references: each loop calls the scalar closed forms once per
+# point and builds the rows as plain tuples of Python values, in the sweep's
+# column order; repr tells -0.0 from 0.0 and 1 from 1.0, so equal reprs of
+# these rows and of the decoded columns mean bitwise-equal cells of equal types.
+
+
+def staircase_loop(spec):
+    w = spec.condensate_weight
+    table = []
+    for eta in eta_grid(spec.eta_start, spec.eta_stop, spec.eta_step):
+        g = ground_winding(RingParams(eta=eta, u_tilde=spec.u_tilde))
+        thermal = w * g.winding + (1.0 - w) * eta
+        table.append((eta, g.winding, eta, thermal, g.mu_eff, g.degenerate, True))
+    return table
+
+
+def landscape_loop(m, etas, u_tilde, x_step):
+    points, peaks = [], []
+    for eta in etas:
+        params = RingParams(eta=eta, u_tilde=u_tilde)
+        for x in eta_grid(0.0, 1.0, x_step):
+            points.append((eta, x, mu_mixed(MixedState(m, x), params)))
+        info = barrier(m, params)
+        if info is not None:
+            peaks.append((eta, info.x_peak, info.mu_peak, info.height_from_m, info.height_from_m_plus_1))
+    return points, peaks
+
+
+def hysteresis_loop(path, u_tilde, m):
+    table = []
+    for i, eta in enumerate(path):
+        going_up = (len(path) == 1 or path[1] >= eta) if i == 0 else eta >= path[i - 1]
+        m = stepwise_settled_winding(m, eta, u_tilde)
+        neighbor_up = eta >= m
+        info = barrier(m if neighbor_up else m - 1, RingParams(eta=eta, u_tilde=u_tilde))
+        height = None if info is None else (info.height_from_m if neighbor_up else info.height_from_m_plus_1)
+        table.append((eta, "up" if going_up else "down", m, height))
+    return table
+
+
 class TestSweepsMatchPerPointLoops:
-    """The sweeps evaluate closed forms on arrays; these loops call the scalar functions per point."""
+    """The sweeps evaluate closed forms on arrays; the loops above call the scalar functions per point."""
 
-    @staticmethod
-    def staircase_loop(spec):
-        w = spec.condensate_weight
-        records = []
-        for eta in eta_grid(spec.eta_start, spec.eta_stop, spec.eta_step):
-            g = ground_winding(RingParams(eta=eta, u_tilde=spec.u_tilde))
-            thermal = w * g.winding + (1.0 - w) * eta
-            records.append(SweepRecord(eta, g.winding, eta, thermal, g.mu_eff, g.degenerate, True))
-        return records
-
-    @staticmethod
-    def landscape_loop(m, etas, u_tilde, x_step):
-        points, peaks = [], []
-        for eta in etas:
-            params = RingParams(eta=eta, u_tilde=u_tilde)
-            for x in eta_grid(0.0, 1.0, x_step):
-                points.append(LandscapePoint(eta, x, mu_mixed(MixedState(m, x), params)))
-            info = barrier(m, params)
-            if info is not None:
-                peaks.append(
-                    LandscapePeak(eta, info.x_peak, info.mu_peak, info.height_from_m, info.height_from_m_plus_1)
-                )
-        return points, peaks
-
-    @staticmethod
-    def hysteresis_loop(path, u_tilde, m):
-        records = []
-        for i, eta in enumerate(path):
-            going_up = (len(path) == 1 or path[1] >= eta) if i == 0 else eta >= path[i - 1]
-            m = stepwise_settled_winding(m, eta, u_tilde)
-            neighbor_up = eta >= m
-            info = barrier(m if neighbor_up else m - 1, RingParams(eta=eta, u_tilde=u_tilde))
-            height = None if info is None else (info.height_from_m if neighbor_up else info.height_from_m_plus_1)
-            records.append(HysteresisRecord(eta, "up" if going_up else "down", m, height))
-        return records
-
-    # repr tells -0.0 from 0.0 and 1 from 1.0, so equal reprs mean bitwise-equal fields of equal types
     @pytest.mark.parametrize(
         "spec",
         [
@@ -539,16 +567,16 @@ class TestSweepsMatchPerPointLoops:
         ],
     )
     def test_staircase(self, spec):
-        assert repr(staircase(spec)) == repr(self.staircase_loop(spec))
+        assert repr(rows(staircase(spec))) == repr(staircase_loop(spec))
 
     @pytest.mark.parametrize("m", [-2, 0, 1])
     def test_landscape(self, m):
         etas = [-1.5, -0.7, -0.5, 0.0, 0.4999999, 0.5, 0.5000001, 1.3, 2.5, 2]
         for u_tilde, x_step in ((0.4 * TWO_PI, 0.05), (3.0, 0.3), (2 * TWO_PI, 1 / 3)):
             result = landscape(m, etas, u_tilde, x_step)
-            points, peaks = self.landscape_loop(m, [float(e) for e in etas], u_tilde, x_step)
-            assert repr(result.points) == repr(points)
-            assert repr(result.peaks) == repr(peaks)
+            points, peaks = landscape_loop(m, [float(e) for e in etas], u_tilde, x_step)
+            assert repr(rows(result.points)) == repr(points)
+            assert repr(rows(result.peaks)) == repr(peaks)
             assert peaks  # some etas of the list have interior peaks
 
     @pytest.mark.parametrize("start_winding", [-2, 0, 3])
@@ -560,8 +588,7 @@ class TestSweepsMatchPerPointLoops:
             ([0.5], 0.3 * TWO_PI),
             ([-0.5, -0.5, 0.4999999, 0.5000001, 0.0], 2.0),
         ):
-            records = hysteresis(eta_path, u_tilde, start_winding)
-            reference = self.hysteresis_loop([float(e) for e in eta_path], u_tilde, start_winding)
-            assert repr(records) == repr(reference)
+            table = rows(hysteresis(eta_path, u_tilde, start_winding))
+            assert repr(table) == repr(hysteresis_loop([float(e) for e in eta_path], u_tilde, start_winding))
             if len(eta_path) > 10:
-                assert any(r.barrier_height is None for r in records)  # the walk slid somewhere
+                assert any(height is None for *_, height in table)  # the walk slid somewhere

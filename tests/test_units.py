@@ -84,6 +84,11 @@ class TestLineCharge:
         with pytest.raises(ValueError):
             required_line_density(1.0, 0.0)
 
+    def test_denominator_that_rounds_to_zero_rejected(self):
+        # g * alpha * compton_length underflows to 0.0: the quotient raised ZeroDivisionError
+        with pytest.raises(ValueError, match="lande_g=1e-320 is too small"):
+            required_line_density(1.0, 1e-320)
+
 
 class TestTorusCharge:
     def test_threshold_charge_gives_unit_phase_exactly(self):
@@ -121,6 +126,14 @@ class TestTorusCharge:
             TorusChargeSetup(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             required_torus_charges(1.0, 0.0, 1e-3)
+
+    def test_denominator_that_rounds_to_zero_rejected(self):
+        # (radius / compton_length)**2 and g * alpha underflow to 0.0: the quotients raised ZeroDivisionError
+        with pytest.raises(ValueError, match="torus_radius=1e-320 is too small"):
+            field_torus(TorusChargeSetup(1.0, 1e-320, 1.0))
+        with pytest.raises(ValueError, match="lande_g=5e-324 is too small"):
+            required_torus_charges(1.0, 5e-324, 1e-3)
+        assert field_torus(TorusChargeSetup(1.0, 1e-170, 1.0)) > 0.0
 
 
 class TestCrossedFields:
