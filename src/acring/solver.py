@@ -53,7 +53,9 @@ __all__ = [
 ]
 
 NODE_FLOOR = 1e-10  # fraction of max |psi| below which winding is undefined
-SEED_SHIFTS = range(-2, 3)  # global search seeds, relative to the analytic winding
+# global search seeds, relative to the analytic winding, nearest the centre first:
+# a seed two sectors out leaves its own sector whenever u_tilde/(2 pi) < 4 and never wins
+SEED_SHIFTS = (0, -1, 1)
 _BATCH_AMPLITUDES = 2**17  # cap on rows * grid_size in one batched relaxation
 MAX_GRID_SIZE = 2**16  # larger grids are rejected before anything is allocated
 _MAX_ANGLE = 0.5  # cap on the great-circle step of one descent iteration (radians)
@@ -240,17 +242,22 @@ def imaginary_time_step(
 def _kinetic(grid_size: int, eta) -> np.ndarray:
     """Kinetic multipliers (k - eta)^2; a list of eta gives one row each.
 
-    Raises ValueError where a multiplier does not fit in a float (|eta|
-    past about 1.3e154), before any state is built.
+    Raises ValueError where a multiplier exceeds sqrt(float max) / grid_size
+    (|eta| past about 7.2e75 at grid_size 256, 1.4e76 at 64), before any
+    state is built.  Below that every sum the descent forms stays finite for
+    any unit state: the largest is the squared residual norm, the sum over
+    modes of |(k - eta)^2 - mu|^2 |spec_k|^2 <= K^2 G^2 / (2 pi), with K the
+    largest multiplier, since sum |spec_k|^2 = G^2 / (2 pi).
     """
     eta = np.asarray(eta, dtype=np.float64)
+    limit = math.sqrt(np.finfo(np.float64).max) / grid_size
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned
         kin = (mode_numbers(grid_size) - eta[..., None]) ** 2
-    overflow = np.isinf(kin).any(axis=-1)
-    if overflow.any():
+    past = ~(kin <= limit).all(axis=-1)
+    if past.any():
         raise ValueError(
-            f"eta={np.ravel(eta)[np.ravel(overflow)][0]} puts the kinetic multipliers (k - eta)**2 "
-            f"past the float range at grid_size={grid_size}"
+            f"eta={np.ravel(eta)[np.ravel(past)][0]} puts the kinetic multipliers (k - eta)**2 "
+            f"above {limit:.4g}, past which the descent's sums overflow, at grid_size={grid_size}"
         )
     return kin
 
@@ -505,6 +512,7 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list, v=None, 
 def _pick_ground(reports: list, tolerance: float) -> GroundStateReport:
     """The one tie rule of the numeric search: the lowest winding among the lowest energies.
 
+    reports come in SEED_SHIFTS order, nearest the analytic centre first.
     The pool is the converged reports (all of them when none converged; the
     pick then carries converged=False).  A report ties with the lowest
     energy E when it lies no more than the solve resolves above it:
@@ -512,15 +520,17 @@ def _pick_ground(reports: list, tolerance: float) -> GroundStateReport:
     (tolerance * max(1, |mu|))**2, the energy error left by the residual
     bound every converged row met.  Ties go to the lower winding, as
     ground_winding settles an exact half-integer, so eta -> eta + 1 shifts
-    the pick by one.  Within that winding (seeds that relaxed into the same
-    sector) the lowest energy wins, i.e. the state nearest the fixed point.
+    the pick by one.  Within that winding the first seed of the pool that
+    ended there wins, the one nearest the centre, not the lowest energy:
+    seeds that relaxed into the same sector differ in energy by roundoff
+    only, and the order of the seeds does not depend on it.
     """
     pool = [r for r in reports if r.converged] or reports
     lowest = min(pool, key=lambda r: r.energy_per_particle)
     energy = lowest.energy_per_particle
     bound = _ENERGY_SLACK * max(1.0, abs(energy)) + (tolerance * max(1.0, abs(lowest.mu))) ** 2
-    ties = [r for r in pool if r.energy_per_particle <= energy + bound]
-    return min(ties, key=lambda r: (r.winding, r.energy_per_particle))
+    winding = min(r.winding for r in pool if r.energy_per_particle <= energy + bound)
+    return next(r for r in pool if r.winding == winding)
 
 
 def global_grounds(points, settings: SolverSettings | None = None) -> list:
@@ -554,20 +564,30 @@ def global_grounds(points, settings: SolverSettings | None = None) -> list:
     best = []
     for start in range(0, len(pairs), per_chunk):
         reports = _relax_batch(points[0].u_tilde, settings, pairs[start : start + per_chunk])
-        best.extend(_pick_ground(reports[i : i + seeds], settings.tolerance) for i in range(0, len(reports), seeds))
+        for i in range(0, len(reports), seeds):
+            winner = _pick_ground(reports[i : i + seeds], settings.tolerance)
+            winner.wavefunction = RingWavefunction(winner.wavefunction.amplitudes.copy())
+            best.append(winner)
     return best
 
 
 def global_ground(params: RingParams, settings: SolverSettings | None = None) -> GroundStateReport:
     """Minimum-energy state over seed windings around the expected ground.
 
-    Relaxes seeds m0 in {[eta]-2, ..., [eta]+2} (evaluated side by side) and
-    returns the converged report with the lowest energy per particle; ties
-    (energies the solve does not resolve) go to the lower winding, as in
-    ground_winding, by the rule stated in _pick_ground.  With settings=None
-    a small seeded noise (1e-3, fixed rng) is used so seeds can slide out of
-    their sectors.  When every seed fails to converge, the best attempt
-    comes back with converged=False, as from relax and global_grounds.
+    Relaxes seeds m0 in {[eta]-1, [eta], [eta]+1} (evaluated side by side)
+    and returns the converged report with the lowest energy per particle;
+    ties (energies the solve does not resolve) go to the lower winding, as
+    in ground_winding, and within the winning winding the seed nearest
+    [eta] wins, by the rule stated in _pick_ground.  The seeds [eta]+-2 are
+    left out because they never win: their plane waves are unstable
+    whenever u_tilde/(2 pi) < 4 (|m - eta| >= 1.5 > sqrt(1 + u_tilde/pi)/2),
+    so they leave their sector.  The search still checks the closed form:
+    the descent never raises the energy and the plane-wave energies are
+    convex in m, so a ground other than [eta] draws the seed [eta]+-1 on its
+    side below the energy of [eta].  With settings=None a small seeded
+    noise (1e-3, fixed rng) is used so seeds can slide out of their
+    sectors.  When every seed fails to converge, the best attempt comes
+    back with converged=False, as from relax and global_grounds.
     """
     return global_grounds([params], settings)[0]
 

@@ -14,6 +14,7 @@ import pytest
 
 import acring
 from acring.cli import CommandResult, RunConfig, _render_csv, _render_json, main
+from acring.solver import SEED_SHIFTS
 from acring.sweeps import StaircaseSpec, eta_grid, hysteresis
 from test_sweeps import cell_values, hysteresis_loop, landscape_loop, staircase_loop
 from test_tracing_contract import load_tracing
@@ -226,6 +227,30 @@ class TestSolve:
         assert f"eta={float(eta)}" in err_lines[0] and "grid_size=64" in err_lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["0", "1e-3"])
+    def test_kinetic_bound_keeps_the_descent_finite(self, tmp_path, capsys, noise):
+        # the descent's sums stay finite while (k - eta)**2 <= sqrt(float max) / G:
+        # |eta| up to about 7.237e75 at G = 256.  Past it, eta 1e100 and 1e153 passed
+        # the check and then diverged (exit 4)
+        edge = math.sqrt(math.sqrt(sys.float_info.max) / 256)
+        inside, outside = 7.2e75, 7.3e75
+        assert inside < edge < outside
+        out = tmp_path / "s.csv"
+        argv = ["solve", "--u-tilde", "1", "--noise-amplitude", noise, "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + [f"--eta={inside}"]) == 0
+            assert capsys.readouterr().err == ""
+            assert read_csv(out)[1][0][-1] == "true"
+            out.unlink()
+            for eta in (outside, 1e100, 1e153):
+                code = main(argv + [f"--eta={eta}"])
+                err_lines = capsys.readouterr().err.splitlines()
+                assert code == 3
+                assert len(err_lines) == 1 and err_lines[0].startswith("error: validation:")
+                assert f"eta={eta}" in err_lines[0] and "grid_size=256" in err_lines[0]
+                assert not out.exists()
+
     @pytest.mark.parametrize("search", [["--global"], ["--noise-amplitude", "1e-3"]])
     def test_strong_interaction_converges_to_the_plane_wave(self, tmp_path, search):
         # u_tilde = 1e7 overflowed the imaginary-time step; the descent has no
@@ -290,13 +315,14 @@ class TestSolve:
         assert not out.exists()
 
     def test_global_seeds_past_the_grid_exit_3(self, tmp_path, capsys):
-        # the seeds reach winding 202 on a 256-point grid; the message names eta and grid_size
+        # the seeds reach max|shift| windings past 200 on a 256-point grid; the message names eta and grid_size
+        reach = 200 + max(map(abs, SEED_SHIFTS))
         out = tmp_path / "s.csv"
         code = main(["solve", "--global", "--eta", "200", "--u-tilde", "1", "--output", str(out)])
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 3
         assert err_lines == [
-            "error: validation: the global search at eta=200.0 seeds windings up to |m0| = 202, "
+            f"error: validation: the global search at eta=200.0 seeds windings up to |m0| = {reach}, "
             "but grid_size=256 holds only |m0| < 128"
         ]
         assert not out.exists()

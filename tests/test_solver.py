@@ -365,19 +365,57 @@ class TestGlobalGround:
             assert report.converged
             assert abs(report.mu - mu_uniform(report.winding, params(eta))) < 1e-7
 
-    def test_pick_prefers_lowest_energy_within_a_tied_winding(self):
+    def test_pick_within_a_winding_takes_the_seed_nearest_the_centre(self):
         def report(winding, energy):
             psi = RingWavefunction.plane_wave(winding, 64)
             return GroundStateReport(psi, energy + 1.0, energy, winding, 10, True)
 
-        # two seeds relaxed into winding -1, the first stopped farther from the
-        # fixed point; winding 0 ties with both (a roundoff apart) but loses to
-        # the lower winding, and a real gap of 1e-9 is not a tie
+        # the pool comes centre-first (SEED_SHIFTS order); the centre seed and the
+        # +1 seed both relaxed into winding 0, a roundoff apart, and the -1 seed
+        # stayed a real gap of 1e-9 above: whichever of the two in winding 0 lies
+        # lower, the centre seed is the pick
         tolerance = SolverSettings().tolerance
-        pool = [report(-1, 2.0 + 5e-14), report(0, 2.0 - 5e-14), report(-1, 2.0)]
-        assert _pick_ground(pool, tolerance) is pool[2]
-        pool = [report(-1, 2.0 + 1e-9), report(0, 2.0)]
+        for centre, other in ((2.0 + 5e-14, 2.0), (2.0, 2.0 + 5e-14)):
+            pool = [report(0, centre), report(-1, 2.0 + 1e-9), report(0, other)]
+            assert _pick_ground(pool, tolerance) is pool[0]
+        # winding -1 ties with winding 0 and wins as the lower winding; within it
+        # the first seed that ended there wins, not the lower energy
+        pool = [report(0, 2.0 - 5e-14), report(-1, 2.0 + 5e-14), report(-1, 2.0)]
         assert _pick_ground(pool, tolerance) is pool[1]
+        # unconverged seeds are passed over while one converged
+        pool[1].converged = False
+        assert _pick_ground(pool, tolerance) is pool[2]
+
+    @pytest.mark.parametrize("u_over_2pi", [0.2, 1.0, 2.0, 5.0])
+    def test_search_matches_ground_winding_at_and_next_to_half_integers(self, u_over_2pi):
+        # negative eta, exact half-integers and 1e-7 either side of them, one batch per interaction
+        etas = [-1.8, -0.3, 0.2, 1.1] + [h + d for h in (-2.5, -1.5, -0.5, 0.5, 1.5) for d in (0.0, 1e-7, -1e-7)]
+        points = [params(eta, u_over_2pi) for eta in etas]
+        reports = global_grounds(points)
+        assert all(report.converged for report in reports)
+        assert [report.winding for report in reports] == [ground_winding(p).winding for p in points]
+
+    def test_two_more_seeds_change_no_report(self, monkeypatch):
+        # the seeds two sectors out never win: with them back in (after the three,
+        # so the centre-first order holds) every report keeps its bits
+        points = [params(eta, u_over_2pi) for u_over_2pi in (0.5, 2.0) for eta in (-1.5, -0.65, 0.5000001, 1.3)]
+        three = [global_grounds(points[:4]), global_grounds(points[4:])]
+        monkeypatch.setattr(solver, "SEED_SHIFTS", (*solver.SEED_SHIFTS, -2, 2))
+        five = [global_grounds(points[:4]), global_grounds(points[4:])]
+        for a, b in zip(sum(three, []), sum(five, [])):
+            assert (a.winding, a.mu, a.energy_per_particle, a.iterations, a.converged) == (
+                b.winding, b.mu, b.energy_per_particle, b.iterations, b.converged
+            )
+            np.testing.assert_array_equal(a.wavefunction.amplitudes, b.wavefunction.amplitudes)
+
+    def test_picked_reports_own_their_row(self):
+        # a picked report keeps one row of G amplitudes, not a view of its chunk's stack
+        reports = global_grounds([params(eta) for eta in (-0.4, 0.3, 1.5)])
+        for i, report in enumerate(reports):
+            amplitudes = report.wavefunction.amplitudes
+            assert amplitudes.base is None and amplitudes.shape == (256,)
+            for other in reports[i + 1 :]:
+                assert not np.shares_memory(amplitudes, other.wavefunction.amplitudes)
 
     def test_unconverged_point_reported_not_raised(self):
         starved = SolverSettings(noise_amplitude=1e-3, max_iterations=3)
@@ -393,16 +431,24 @@ class TestGlobalGround:
             global_grounds([params(0.3, 1.0), params(0.3, 2.0)])
 
     def test_seeds_past_the_grid_rejected_before_any_descent(self, monkeypatch):
-        # eta 125.6 seeds windings 124..128, and a 256-point grid holds |m0| < 128;
-        # the points before it fill whole chunks, none of which may be relaxed in vain
+        # the seeds reach max|shift| windings past [eta], and a 256-point grid holds
+        # |m0| < 128: eta 127.6 - reach puts the last seed on 128; the points before
+        # it fill whole chunks, none of which may be relaxed in vain
+        reach = max(map(abs, solver.SEED_SHIFTS))
+        eta = round(127.6 - reach, 1)
+
         def descend(*args):
             raise AssertionError("a chunk was relaxed before the rejection")
 
         monkeypatch.setattr("acring.solver._descend", descend)
-        with pytest.raises(ValueError, match=r"eta=125\.6 .*grid_size=256"):
-            global_grounds([params(0.3)] * 300 + [params(125.6)])
-        with pytest.raises(ValueError, match=r"grid_size=64 holds only \|m0\| < 32"):
-            global_ground(params(-29.5), SolverSettings(grid_size=64, noise_amplitude=1e-3))
+        with pytest.raises(ValueError, match=rf"eta={eta} .*\|m0\| = 128, .*grid_size=256"):
+            global_grounds([params(0.3)] * 300 + [params(eta)])
+        # a half-integer goes to the lower winding, so -(31.5 - reach) reaches -32
+        with pytest.raises(ValueError, match=r"\|m0\| = 32, but grid_size=64 holds only \|m0\| < 32"):
+            global_ground(params(-(31.5 - reach)), SolverSettings(grid_size=64, noise_amplitude=1e-3))
+        # one winding inside, the seeds fit
+        monkeypatch.undo()
+        assert len(global_grounds([params(eta - 1)], SolverSettings(max_iterations=1))) == 1
 
 
 class TestFlowProperties:

@@ -267,14 +267,15 @@ class TestStaircaseNumeric:
 
     def test_batched_sweep_matches_per_point_search(self, per_point, monkeypatch):
         records, reports, batches = self._batched_sweep(monkeypatch)
-        assert batches == [15]  # all seeds of all points in one batch
+        assert batches == [3 * len(solver.SEED_SHIFTS)]  # all seeds of all points in one batch
         self._assert_matches(records, reports, per_point)
 
     def test_chunked_sweep_matches_per_point_search(self, per_point, monkeypatch):
-        # room for two points (5 seed rows each) per batch: chunks of 2 + 1
-        monkeypatch.setattr(solver, "_BATCH_AMPLITUDES", 2 * 5 * 256 + 1)
+        # room for two points (one row per seed) per batch: chunks of 2 + 1
+        seeds = len(solver.SEED_SHIFTS)
+        monkeypatch.setattr(solver, "_BATCH_AMPLITUDES", 2 * seeds * 256 + 1)
         records, reports, batches = self._batched_sweep(monkeypatch)
-        assert batches == [10, 5]
+        assert batches == [2 * seeds, seeds]
         self._assert_matches(records, reports, per_point)
 
     def test_nonconvergence_flagged_but_sweep_continues(self):
