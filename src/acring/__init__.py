@@ -3,9 +3,9 @@
 Layering: `units` turns lab parameters into the dimensionless phase eta;
 `reduction` turns a 3D trapped cloud into the 1D ring parameters (eta,
 u_tilde); `ring` is the closed-form theory of plane-wave and two-mode states;
-`solver` finds ground states numerically by a spectral descent and
-serves as the independent check on `ring`; `sweeps` and `cli` produce
-staircase / stability / hysteresis tables.
+`solver` finds ground states by a spectral descent (one report from `relax`
+or `global_ground`, per-point columns from `global_grounds`), the independent
+check on `ring`; `sweeps` and `cli` produce staircase / stability / hysteresis tables.
 """
 
 from .reduction import RingParams, TrapSetup, build_ring_params, effective_interaction

@@ -19,8 +19,7 @@ search (small seeded noise lets the state leave its sector).
 One rule stops it: the residual ||(H + V - mu) psi|| is at most
 tolerance * max(1, |mu|), so an accepted state is an eigenstate to that
 accuracy.  A miss is a report with converged=False; only a non-finite mu,
-energy or residual raises (ArithmeticError).  imaginary_time_step keeps the
-Strang step of the imaginary-time flow for step-by-step inspection.
+energy or residual raises (ArithmeticError).
 
 Mode index convention: numpy transform order, indices above G/2 - 1 wrap to
 negative k (exactly numpy.fft.fftfreq(G, 1/G)).  This matters because
@@ -35,7 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .reduction import RingParams
-from .ring import TWO_PI, ground_winding
+from .ring import TWO_PI, nearest_winding
+
+# perfbench/tracing.py counts calls to this name in acring.solver; the search in
+# this module evaluates the same closed form on arrays instead of calling it
+from .ring import ground_winding  # noqa: F401
 
 __all__ = [
     "RingWavefunction",
@@ -44,7 +47,6 @@ __all__ = [
     "phi_grid",
     "mode_numbers",
     "apply_hamiltonian",
-    "imaginary_time_step",
     "relax",
     "winding_number",
     "global_ground",
@@ -54,13 +56,16 @@ __all__ = [
 
 NODE_FLOOR = 1e-10  # fraction of max |psi| below which winding is undefined
 # global search seeds, relative to the analytic winding, nearest the centre first:
-# a seed two sectors out leaves its own sector whenever u_tilde/(2 pi) < 4 and never wins
+# a seed two sectors out never wins: its plane wave is unstable whenever u_tilde/(2 pi) < 4
+# (|m - eta| >= 1.5 > sqrt(1 + u_tilde/pi)/2), so it leaves its own sector
 SEED_SHIFTS = (0, -1, 1)
 _BATCH_AMPLITUDES = 2**17  # cap on rows * grid_size in one batched relaxation
 MAX_GRID_SIZE = 2**16  # larger grids are rejected before anything is allocated
 _MAX_ANGLE = 0.5  # cap on the great-circle step of one descent iteration (radians)
 _ENERGY_SLACK = 1e-13  # relative energy rise a descent step may keep: roundoff
 _HALVINGS = 60  # step halvings per iteration; past them a row keeps its state
+# what the batched descent reports per row, and the global search per point
+_COLUMNS = {"winding": np.int64, "mu": float, "energy_per_particle": float, "iterations": np.int64, "converged": bool}
 
 
 def _check_grid_size(grid_size: int) -> None:
@@ -169,8 +174,8 @@ class GroundStateReport:
     as ring.mu_uniform).  iterations counts the residual evaluations of the
     descent, the last one included: 1 for a seed that is already an
     eigenstate.  energy_history holds the energy of every iteration of a
-    relax run, useful for monotonicity checks; the batched search
-    (global_ground, global_grounds) records none and leaves it empty.
+    relax run, useful for monotonicity checks; global_ground records none
+    and leaves it empty.  global_grounds returns columns, not reports.
     """
 
     wavefunction: RingWavefunction
@@ -206,37 +211,6 @@ def apply_hamiltonian(psi: RingWavefunction, params: RingParams) -> RingWavefunc
     k = mode_numbers(psi.grid_size)
     kinetic = np.fft.ifft((k - params.eta) ** 2 * np.fft.fft(a))
     return RingWavefunction(kinetic + params.u_tilde * (a.real**2 + a.imag**2) * a)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a diverging step raises from the norm check
-def imaginary_time_step(
-    psi: RingWavefunction, params: RingParams, tau_step: float, potential=None
-) -> tuple[RingWavefunction, float, float]:
-    """One normalized Strang step of the imaginary-time flow; returns (new state, mu, energy).
-
-    Half kinetic / full interaction (plus the optional potential) / half
-    kinetic, then renormalization; the flow's energy never rises.  For
-    step-by-step inspection of that flow: relax and the global search
-    descend by _descend instead, which takes no time step.
-    """
-    if tau_step <= 0:
-        raise ValueError("tau_step must be > 0")
-    v = _as_potential(potential, psi.grid_size)
-    kin = _kinetic(psi.grid_size, params.eta)
-    half_kinetic = np.exp(-0.5 * tau_step * kin)
-    a = np.fft.ifft(half_kinetic * np.fft.fft(psi.amplitudes))
-    expo = params.u_tilde * (a.real**2 + a.imag**2)
-    if v is not None:
-        expo += v
-    expo -= expo.mean()  # a uniform factor is gauge for the renormalized flow
-    spec = half_kinetic * np.fft.fft(a * np.exp(-tau_step * expo))
-    norm2 = _inner(spec, spec) * TWO_PI / psi.grid_size**2
-    if not 0.0 < norm2 < math.inf:  # also false for nan
-        raise ArithmeticError("imaginary-time step diverged; reduce tau_step (tau_step * u_tilde too large)")
-    spec /= math.sqrt(norm2)
-    a = np.fft.ifft(spec)
-    mu, energy, _ = _energies(spec, a, kin, params.u_tilde, v)
-    return RingWavefunction(a), float(mu), float(energy)
 
 
 def _kinetic(grid_size: int, eta) -> np.ndarray:
@@ -425,8 +399,9 @@ def relax(params: RingParams, settings: SolverSettings, potential=None) -> Groun
     symmetric case V = 0.
     """
     v = _as_potential(potential, settings.grid_size)
-    (report,) = _relax_batch(params.u_tilde, settings, [(params.eta, settings.seed_winding)], v, [])
-    return report
+    history = []
+    psi, rows = _relax_batch(params.u_tilde, settings, [params.eta], [settings.seed_winding], v, history)
+    return _report(psi, rows, 0, history)
 
 
 def _windings(amplitudes):
@@ -458,15 +433,15 @@ def winding_number(psi: RingWavefunction) -> int:
     return int(turns)
 
 
-def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list, v=None, history=None) -> list:
-    """Relax (eta, seed winding) pairs side by side (one report per pair).
+def _relax_batch(u_tilde: float, settings: SolverSettings, etas, seeds, v=None, history=None) -> tuple:
+    """Relax rows side by side, row i at etas[i] from seed winding seeds[i]: ((rows, G) amplitudes, _COLUMNS).
 
     One _descend over a (rows, G) stack in which every row carries its own
-    eta (kinetic multipliers); rows never couple, so a row's report does
+    eta (kinetic multipliers); rows never couple, so a row's result does
     not depend on the others.  Batching exists because the transform cost
     at these grid sizes is call-overhead dominated.  v is a validated
-    potential or None; history, a list given for a single pair, receives
-    the energy of every iteration and becomes its energy_history.
+    potential or None; history, a list given for a single row, receives
+    the energy of every iteration.
 
     Every row starts from the plane wave of its seed winding plus the
     settings' mode-space noise, unit-normalized.  The noise is drawn once
@@ -483,10 +458,10 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list, v=None, 
         rng = np.random.default_rng(settings.rng_seed)
         base += settings.noise_amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
     base[0] += 1.0
-    shifts = np.array([seed for _, seed in seeds])
+    shifts = np.asarray(seeds, dtype=np.int64)
     spec = base[(np.arange(g) - shifts[:, None]) % g]  # row i is np.roll(base, seed_i)
     spec /= np.sqrt(TWO_PI * (spec.real**2 + spec.imag**2).sum(axis=1) / g**2)[:, None]
-    kin = _kinetic(g, [eta for eta, _ in seeds])
+    kin = _kinetic(g, etas)
     psi, mu, energy, iterations, converged = _descend(
         spec, kin, u_tilde, v, settings.tolerance, settings.max_iterations, history
     )
@@ -494,81 +469,103 @@ def _relax_batch(u_tilde: float, settings: SolverSettings, seeds: list, v=None, 
     if node.any():
         power = np.fft.fft(psi[node])
         windings[node] = mode_numbers(g)[np.argmax(power.real**2 + power.imag**2, axis=1)]
-    energy_history = np.asarray(history or (), dtype=np.float64)
-    return [
-        GroundStateReport(
-            wavefunction=RingWavefunction(psi[i]),
-            mu=float(mu[i]),
-            energy_per_particle=float(energy[i]),
-            winding=int(windings[i]),
-            iterations=int(iterations[i]),
-            converged=bool(converged[i]),
-            energy_history=energy_history,
-        )
-        for i in range(len(seeds))
-    ]
+    return psi, dict(zip(_COLUMNS, (windings.astype(np.int64), mu, energy, iterations, converged)))
 
 
-def _pick_ground(reports: list, tolerance: float) -> GroundStateReport:
-    """The one tie rule of the numeric search: the lowest winding among the lowest energies.
+def _report(psi, rows: dict, row: int, history=()) -> GroundStateReport:
+    """The report of one row of a batch, with a copy of its amplitudes."""
+    return GroundStateReport(
+        wavefunction=RingWavefunction(psi[row].copy()),
+        energy_history=np.asarray(history, dtype=np.float64),
+        **{name: column[row].item() for name, column in rows.items()},
+    )
 
-    reports come in SEED_SHIFTS order, nearest the analytic centre first.
-    The pool is the converged reports (all of them when none converged; the
-    pick then carries converged=False).  A report ties with the lowest
-    energy E when it lies no more than the solve resolves above it:
+
+def _pick_grounds(rows: dict, seeds: int, tolerance: float) -> np.ndarray:
+    """The one tie rule of the numeric search: each point's row of lowest winding among the lowest energies.
+
+    rows holds `seeds` consecutive rows per point in SEED_SHIFTS order,
+    nearest the analytic centre first; the winners' row indices come back.
+    A point's pool is its converged rows (all of them when none converged;
+    the pick then carries converged=False).  A row ties with the pool's
+    lowest energy E when it lies no more than the solve resolves above it:
     _ENERGY_SLACK * max(1, |E|), the roundoff the descent keeps, plus
-    (tolerance * max(1, |mu|))**2, the energy error left by the residual
-    bound every converged row met.  Ties go to the lower winding, as
-    ground_winding settles an exact half-integer, so eta -> eta + 1 shifts
-    the pick by one.  Within that winding the first seed of the pool that
-    ended there wins, the one nearest the centre, not the lowest energy:
-    seeds that relaxed into the same sector differ in energy by roundoff
-    only, and the order of the seeds does not depend on it.
+    (tolerance * max(1, |mu|))**2 with mu that of E's row, the energy error
+    left by the residual bound every converged row met.  Ties go to the
+    lower winding, as ground_winding settles an exact half-integer, so eta
+    -> eta + 1 shifts the pick by one.  Within that winding the first row
+    of the pool wins, the seed nearest the centre, not the lowest energy:
+    rows that relaxed into one sector differ in energy by roundoff only,
+    and the order of the seeds does not depend on it.
     """
-    pool = [r for r in reports if r.converged] or reports
-    lowest = min(pool, key=lambda r: r.energy_per_particle)
-    energy = lowest.energy_per_particle
-    bound = _ENERGY_SLACK * max(1.0, abs(energy)) + (tolerance * max(1.0, abs(lowest.mu))) ** 2
-    winding = min(r.winding for r in pool if r.energy_per_particle <= energy + bound)
-    return next(r for r in pool if r.winding == winding)
+    energy, mu, winding, converged = (
+        rows[name].reshape(-1, seeds) for name in ("energy_per_particle", "mu", "winding", "converged")
+    )
+    pool = converged | ~converged.any(axis=1, keepdims=True)
+    points = np.arange(len(energy))
+    lowest = np.where(pool, energy, np.inf).argmin(axis=1)
+    low_energy, low_mu = energy[points, lowest], mu[points, lowest]
+    # float_power squares like Python's x ** 2 (libm pow), to the last bit
+    bound = _ENERGY_SLACK * np.maximum(1.0, np.abs(low_energy)) + np.float_power(
+        tolerance * np.maximum(1.0, np.abs(low_mu)), 2.0
+    )
+    tied = pool & (energy <= (low_energy + bound)[:, None])
+    pick = np.where(tied, winding, np.iinfo(np.int64).max).min(axis=1)
+    return points * seeds + (pool & (winding == pick[:, None])).argmax(axis=1)
 
 
-def global_grounds(points, settings: SolverSettings | None = None) -> list:
-    """global_ground at every point, relaxing all seeds of all points together.
+def _search_input(etas, u_tilde: float, settings: SolverSettings | None) -> tuple:
+    """Validated float64 etas and settings (by default a small seeded noise) for the global search.
 
-    All points must share one u_tilde; each brings its own eta.  Returns
-    one report per point, in order; a point at which no seed converged gets
-    its best attempt, with converged=False.  A point whose seed windings do
-    not fit the grid (|m0| < grid_size/2) is rejected before any point is
-    relaxed.  The points are relaxed in chunks of at most 2**17 amplitudes
-    per batch array (at least one point per chunk), which bounds memory for
-    long sweeps and large grids.
+    Rejects a non-finite eta or u_tilde, and names the first eta whose seed windings do not fit the grid.
     """
     if settings is None:
         settings = SolverSettings(noise_amplitude=1e-3)
-    points = list(points)
-    if len({p.u_tilde for p in points}) > 1:
-        raise ValueError("global_grounds needs the same u_tilde at every point")
-    pairs = []
-    for p in points:
-        windings = [ground_winding(p).winding + shift for shift in SEED_SHIFTS]
-        reach = max(map(abs, windings))
-        if reach >= settings.grid_size // 2:
-            raise ValueError(
-                f"the global search at eta={p.eta} seeds windings up to |m0| = {reach}, "
-                f"but grid_size={settings.grid_size} holds only |m0| < {settings.grid_size // 2}"
-            )
-        pairs.extend((p.eta, m0) for m0 in windings)
-    seeds = len(SEED_SHIFTS)
-    per_chunk = seeds * max(1, _BATCH_AMPLITUDES // (seeds * settings.grid_size))
-    best = []
-    for start in range(0, len(pairs), per_chunk):
-        reports = _relax_batch(points[0].u_tilde, settings, pairs[start : start + per_chunk])
-        for i in range(0, len(reports), seeds):
-            winner = _pick_ground(reports[i : i + seeds], settings.tolerance)
-            winner.wavefunction = RingWavefunction(winner.wavefunction.amplitudes.copy())
-            best.append(winner)
-    return best
+    etas = np.asarray(etas, dtype=np.float64)
+    if not np.isfinite(etas).all():
+        raise ValueError("eta must be finite")
+    if not math.isfinite(u_tilde):
+        raise ValueError("u_tilde must be finite")
+    half = settings.grid_size // 2
+    centre, _ = nearest_winding(etas)
+    past = np.maximum(np.abs(centre + min(SEED_SHIFTS)), np.abs(centre + max(SEED_SHIFTS))) >= half
+    if past.any():
+        first = past.argmax()
+        reach = max(abs(int(centre[first]) + shift) for shift in SEED_SHIFTS)  # exact past 2**53
+        raise ValueError(
+            f"the global search at eta={etas[first]} seeds windings up to |m0| = {reach}, "
+            f"but grid_size={settings.grid_size} holds only |m0| < {half}"
+        )
+    return etas, settings
+
+
+def _search_chunk(etas: np.ndarray, u_tilde: float, settings: SolverSettings) -> tuple:
+    """Relax the seeds of every point of etas side by side: (amplitudes, rows, winning row per point)."""
+    shifts = np.array(SEED_SHIFTS)
+    centre, _ = nearest_winding(etas)
+    psi, rows = _relax_batch(u_tilde, settings, np.repeat(etas, len(shifts)), (centre[:, None] + shifts).ravel())
+    return psi, rows, _pick_grounds(rows, len(shifts), settings.tolerance)
+
+
+def global_grounds(etas, u_tilde: float, settings: SolverSettings | None = None) -> dict[str, np.ndarray]:
+    """global_ground at every eta of a 1-D array, at one u_tilde, as column names mapped to arrays.
+
+    The columns (_COLUMNS) hold global_ground's values at each point, bit
+    for bit; a point at which no seed converged gets its best attempt, with
+    converged=False.  Bad input (see _search_input) is rejected before any
+    point is relaxed.  The points are relaxed in chunks of at most 2**17
+    amplitudes (at least one point per chunk); each chunk seeds from its
+    slice of etas and is dropped once its winners' values are taken, so
+    beyond the columns memory stays bounded.
+    """
+    etas, settings = _search_input(etas, u_tilde, settings)
+    per_chunk = max(1, _BATCH_AMPLITUDES // (len(SEED_SHIFTS) * settings.grid_size))
+    columns = {name: np.empty(len(etas), dtype=dtype) for name, dtype in _COLUMNS.items()}
+    for start in range(0, len(etas), per_chunk):
+        rows, winners = _search_chunk(etas[start : start + per_chunk], u_tilde, settings)[1:]
+        for name, column in columns.items():
+            column[start : start + len(winners)] = rows[name][winners]
+    return columns
 
 
 def global_ground(params: RingParams, settings: SolverSettings | None = None) -> GroundStateReport:
@@ -578,18 +575,20 @@ def global_ground(params: RingParams, settings: SolverSettings | None = None) ->
     and returns the converged report with the lowest energy per particle;
     ties (energies the solve does not resolve) go to the lower winding, as
     in ground_winding, and within the winning winding the seed nearest
-    [eta] wins, by the rule stated in _pick_ground.  The seeds [eta]+-2 are
-    left out because they never win: their plane waves are unstable
-    whenever u_tilde/(2 pi) < 4 (|m - eta| >= 1.5 > sqrt(1 + u_tilde/pi)/2),
-    so they leave their sector.  The search still checks the closed form:
+    [eta] wins, by the rule stated in _pick_grounds.  The seeds [eta]+-2
+    never win (see SEED_SHIFTS).  The search still checks the closed form:
     the descent never raises the energy and the plane-wave energies are
     convex in m, so a ground other than [eta] draws the seed [eta]+-1 on its
     side below the energy of [eta].  With settings=None a small seeded
     noise (1e-3, fixed rng) is used so seeds can slide out of their
     sectors.  When every seed fails to converge, the best attempt comes
-    back with converged=False, as from relax and global_grounds.
+    back with converged=False, as from relax and global_grounds.  This is
+    global_grounds at one point, and the one search that returns a state:
+    a copy of the winner's row.
     """
-    return global_grounds([params], settings)[0]
+    etas, settings = _search_input([params.eta], params.u_tilde, settings)
+    psi, rows, (winner,) = _search_chunk(etas, params.u_tilde, settings)
+    return _report(psi, rows, winner)
 
 
 def dump_wavefunction(psi: RingWavefunction, path) -> None:

@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .reduction import RingParams
 from .ring import TWO_PI, barrier_peak, nearest_winding, plane_mu, two_mode_mu
 from .solver import SolverSettings, global_grounds
 
@@ -60,9 +59,12 @@ def _grid_count(start: float, stop: float, step: float) -> int:
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    """eta_grid as a float64 array."""
+    """eta_grid as a float64 array; a grid whose last point overflows floats is rejected before it is built."""
     start, step = float(start), float(step)
-    x = start + np.arange(_grid_count(start, stop, step)) * step
+    count = _grid_count(start, stop, step)
+    if not math.isfinite(start + (count - 1) * step):
+        raise ValueError(f"the grid's last point, {start} + {count - 1} * {step}, overflows floats")
+    x = start + np.arange(count) * step
     with np.errstate(over="ignore", invalid="ignore"):  # such points go to round below
         scaled = x * _GRID_SCALE
         grid = np.rint(scaled) / _GRID_SCALE
@@ -168,10 +170,8 @@ def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> di
     _finite("u_tilde", spec.u_tilde)
     winding, degenerate = nearest_winding(etas)
     if spec.mode == "numeric":
-        numeric = global_grounds([RingParams(eta=eta, u_tilde=spec.u_tilde) for eta in etas.tolist()], settings)
-        windings = np.array([report.winding for report in numeric])
-        mu_eff = np.array([report.mu for report in numeric])
-        converged = np.array([report.converged for report in numeric])
+        numeric = global_grounds(etas, spec.u_tilde, settings)
+        windings, mu_eff, converged = numeric["winding"], numeric["mu"], numeric["converged"]
         winding = windings.astype(float)
     else:
         windings = _integers(winding)

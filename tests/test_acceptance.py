@@ -16,7 +16,7 @@ import pytest
 from acring.cli import main
 from acring.reduction import RingParams, effective_interaction, transverse_kinetic_offset
 from acring.ring import MixedState, barrier, ground_winding, mu_mixed
-from acring.solver import RingWavefunction, SolverSettings, imaginary_time_step, phi_grid, relax
+from acring.solver import SolverSettings, relax
 from acring.sweeps import StaircaseSpec, eta_grid, hysteresis, staircase
 from acring.units import (
     CrossedFieldSetup,
@@ -169,15 +169,13 @@ def test_criterion_6_property_suites():
         slack = 1e-12 * np.maximum(1.0, np.abs(history[:-1]))
         assert np.all(history[1:] <= history[:-1] + slack)
 
-    # normalization restored to 1e-12 after every step
-    noisy = RingWavefunction(
-        np.exp(1j * phi_grid(256)) + 0.2 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    ).normalized()
-    psi = noisy
+    # normalization restored to 1e-12 after every step, up to and past convergence
     p6 = RingParams(eta=0.4, u_tilde=U_FIG)
-    for _ in range(150):
-        psi, _, _ = imaginary_time_step(psi, p6, 5e-3)
-        assert abs(psi.norm_squared() - 1.0) <= 1e-12
+    noisy = SolverSettings(seed_winding=1, noise_amplitude=0.2)
+    for iterations in range(1, 41):
+        report = relax(p6, replace(noisy, max_iterations=iterations))
+        assert abs(report.wavefunction.norm_squared() - 1.0) <= 1e-12
+    assert report.converged and report.iterations < 40
 
     # gauge covariance: eta -> eta+1 with shifted seed gives identical density
     settings = SolverSettings(noise_amplitude=1e-3, max_iterations=3000)

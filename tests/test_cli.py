@@ -387,6 +387,21 @@ class TestStaircaseCommand:
         assert code == 4
         assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
 
+    @pytest.mark.parametrize(
+        "command", [["staircase"], ["staircase", "--mode", "numeric"], ["hysteresis"]], ids=" ".join
+    )
+    def test_grid_past_the_float_range_exits_3(self, tmp_path, capsys, command):
+        # the grid's last point, start + 2 * step, overflows to inf; the analytic staircase
+        # exited 4 ("cannot convert float infinity to integer") and every command warned first
+        out = tmp_path / "g.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--eta=1.7e308:1.79e308:5e306", "--u-tilde", "1", "--output", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err_lines == ["error: validation: the grid's last point, 1.7e+308 + 2 * 5e+306, overflows floats"]
+        assert not out.exists()
+
     def test_numeric_strong_interaction_converges_to_the_plane_waves(self, tmp_path):
         out = tmp_path / "st.json"
         with warnings.catch_warnings():

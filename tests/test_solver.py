@@ -1,9 +1,13 @@
 """Ground-state solver: spectral exactness, descent, winding, search."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -18,19 +22,84 @@ from acring.solver import (
     dump_wavefunction,
     global_ground,
     global_grounds,
-    imaginary_time_step,
     mode_numbers,
     phi_grid,
     relax,
     winding_number,
 )
-from acring.solver import _pick_ground, _relax_batch
+from acring.solver import _ENERGY_SLACK, _pick_grounds, _relax_batch, _report
 
 TWO_PI = 2.0 * math.pi
 
 
 def params(eta, u_over_2pi=2.0):
     return RingParams(eta=eta, u_tilde=u_over_2pi * TWO_PI)
+
+
+def batch(u_tilde, settings, pairs):
+    """_relax_batch on (eta, seed winding) pairs, one report per row."""
+    etas, seeds = zip(*pairs)
+    psi, rows = _relax_batch(u_tilde, settings, etas, seeds)
+    return [_report(psi, rows, i) for i in range(len(pairs))]
+
+
+def pick_ground(reports, tolerance):
+    """The scalar tie rule that _pick_grounds applies to arrays, kept as its oracle.
+
+    reports come in SEED_SHIFTS order, nearest the analytic centre first.
+    The pool is the converged reports (all of them when none converged).
+    A report ties with the lowest energy E when it lies at most
+    _ENERGY_SLACK * max(1, |E|) + (tolerance * max(1, |mu|))**2 above it,
+    mu that of the lowest report; ties go to the lower winding, and within
+    that winding the first report of the pool that ended there wins.
+    """
+    pool = [r for r in reports if r.converged] or reports
+    lowest = min(pool, key=lambda r: r.energy_per_particle)
+    energy = lowest.energy_per_particle
+    bound = _ENERGY_SLACK * max(1.0, abs(energy)) + (tolerance * max(1.0, abs(lowest.mu))) ** 2
+    winding = min(r.winding for r in pool if r.energy_per_particle <= energy + bound)
+    return next(r for r in pool if r.winding == winding)
+
+
+def pick_rows(pools, tolerance):
+    """_pick_grounds on equal-sized pools of (winding, mu, energy, converged), as the index within each pool."""
+    seeds = len(pools[0])
+    winding, mu, energy, converged = zip(*(row for pool in pools for row in pool))
+    rows = {
+        "winding": np.array(winding, dtype=np.int64),
+        "mu": np.array(mu),
+        "energy_per_particle": np.array(energy),
+        "converged": np.array(converged, dtype=bool),
+    }
+    return (_pick_grounds(rows, seeds, tolerance) - seeds * np.arange(len(pools))).tolist()
+
+
+@st.composite
+def seed_pools(draw):
+    """(tolerance, pools): equal-sized pools of (winding, mu, energy, converged), centre first.
+
+    Each pool's energies sit at multiples of the tie bound above or below a
+    base energy (0 and 1 give exact ties and rows exactly on the bound),
+    some rows carry another mu, and any row may be unconverged.
+    """
+    tolerance = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    seeds = draw(st.integers(1, 5))
+    pools = []
+    for _ in range(draw(st.integers(1, 4))):
+        energy = draw(st.sampled_from([-3.0, 0.0, 0.7, 2.0, 1e3]))
+        mu = draw(st.sampled_from([0.5, 3.0, 40.0]))
+        unit = _ENERGY_SLACK * max(1.0, abs(energy)) + (tolerance * max(1.0, mu)) ** 2
+        pool = []
+        for _ in range(seeds):
+            factor = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5, 3.0, -0.5, -1.0, 1e6]))
+            pool.append((
+                draw(st.integers(-2, 2)),
+                draw(st.sampled_from([mu, mu, 10.0 * mu])),
+                energy + factor * unit,
+                draw(st.booleans()),
+            ))
+        pools.append(pool)
+    return tolerance, pools
 
 
 def converged_ground(p):
@@ -211,7 +280,7 @@ class TestWindingNumber:
             return states, np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=int), np.ones(rows, dtype=bool)
 
         monkeypatch.setattr(solver, "_descend", descend)
-        reports = _relax_batch(1.0, SolverSettings(grid_size=128), [(0.0, 0)] * len(states))
+        reports = batch(1.0, SolverSettings(grid_size=128), [(0.0, 0)] * len(states))
         assert [r.winding for r in reports] == [3, 1, 0, -3]
         assert [winding_number(RingWavefunction(a)) for a in states[:2]] == [3, 1]
         for amplitudes in states[2:]:
@@ -225,7 +294,7 @@ class TestGlobalGround:
         # and rolled to it, normalized on its own: the bits of building each seed alone
         settings = SolverSettings(noise_amplitude=1e-2, max_iterations=1, rng_seed=11)
         seeds = [(0.3, 0), (1.3, 1), (0.3, -2), (-0.7, 5)]
-        reports = _relax_batch(params(0.0).u_tilde, settings, seeds)
+        reports = batch(params(0.0).u_tilde, settings, seeds)
         g = settings.grid_size
         for (_, m0), report in zip(seeds, reports):
             rng = np.random.default_rng(settings.rng_seed)
@@ -267,11 +336,10 @@ class TestGlobalGround:
     def test_tie_points_are_gauge_covariant(self, offset, u_over_2pi):
         # eta -> eta + k shifts the winding by exactly k, at a tie as off it
         shifts = range(-2, 3)
-        points = [params(0.5 + offset + k, u_over_2pi) for k in shifts]
-        reports = global_grounds(points)
-        assert all(report.converged for report in reports)
-        base = reports[2].winding
-        assert [report.winding for report in reports] == [base + k for k in shifts]
+        columns = global_grounds([0.5 + offset + k for k in shifts], u_over_2pi * TWO_PI)
+        assert columns["converged"].all()
+        base = columns["winding"][2]
+        assert columns["winding"].tolist() == [base + k for k in shifts]
 
     def test_batch_rows_match_standalone_relax(self):
         # rows at two different eta share one batch and converge at different
@@ -279,15 +347,13 @@ class TestGlobalGround:
         # row gives relax's bits
         settings = SolverSettings(noise_amplitude=1e-3, tolerance=1e-14)
         rows = [(0.3, 0), (0.3, 1), (1.7, 2), (1.7, 1)]
-        batch = _relax_batch(params(0.0).u_tilde, settings, rows)
-        for (eta, seed), report in zip(rows, batch):
+        for (eta, seed), report in zip(rows, batch(params(0.0).u_tilde, settings, rows)):
             single = relax(params(eta), replace(settings, seed_winding=seed))
             assert report.converged and single.converged
             assert report.winding == single.winding
             assert report.mu == single.mu
             assert report.iterations == single.iterations
             np.testing.assert_array_equal(report.wavefunction.amplitudes, single.wavefunction.amplitudes)
-            assert report.energy_history.size == 0  # only relax records a history
 
     def test_batch_row_does_not_depend_on_its_neighbours(self):
         # a row's direction, step angle and stopping iteration are its own: alone or
@@ -297,9 +363,9 @@ class TestGlobalGround:
         u = params(0.0).u_tilde
         target = (0.3, 1)
         others = [(-0.5, 0), (1.7, 2), (0.3, 0), (2.4, 4), (0.5000001, 1), (-1.2, -3)]
-        (alone,) = _relax_batch(u, settings, [target])
+        (alone,) = batch(u, settings, [target])
         for position in (0, 3, len(others)):
-            mixed = _relax_batch(u, settings, others[:position] + [target] + others[position:])
+            mixed = batch(u, settings, others[:position] + [target] + others[position:])
             report = mixed[position]
             assert report.mu == alone.mu
             assert report.energy_per_particle == alone.energy_per_particle
@@ -324,7 +390,7 @@ class TestGlobalGround:
 
         monkeypatch.setattr(solver, "_energies", count_energies)
         monkeypatch.setattr(np.fft, "ifft", count_ifft)
-        batch = _relax_batch(params(0.0).u_tilde, settings, rows)
+        reports = batch(params(0.0).u_tilde, settings, rows)
         monkeypatch.undo()
         # an iteration transforms the live rows' directions, tries them all, then tries again those that halve
         tries = [
@@ -333,7 +399,7 @@ class TestGlobalGround:
             if calls[i][0] == "ifft" and calls[i + 1][0] == calls[i + 2][0] == "energies"
         ]
         assert any(0 < halving < tried for tried, halving in tries)
-        for (eta, seed), report in zip(rows, batch):
+        for (eta, seed), report in zip(rows, reports):
             single = relax(params(eta), replace(settings, seed_winding=seed))
             assert report.converged and single.converged
             assert report.mu == single.mu
@@ -347,9 +413,9 @@ class TestGlobalGround:
         # default tolerance
         settings = SolverSettings(noise_amplitude=1e-3)
         rows = [(0.3, 0), (0.3, 1), (1.7, 2), (1.7, 1)]
-        batch = _relax_batch(params(0.0).u_tilde, settings, rows)
-        assert all(report.converged for report in batch)
-        for (eta, _), report in zip(rows, batch):
+        reports = batch(params(0.0).u_tilde, settings, rows)
+        assert all(report.converged for report in reports)
+        for (eta, _), report in zip(rows, reports):
             psi = report.wavefunction
             image = apply_hamiltonian(psi, params(eta)).amplitudes
             assert np.max(np.abs(image - report.mu * psi.amplitudes)) < 1e-9
@@ -360,75 +426,118 @@ class TestGlobalGround:
         # while their energy still fell; a stall test on mu alone stopped
         # them there, 2.5e-6 to 2.5e-5 above the closed form
         rows = [(0.0, -2), (0.55, 2), (0.65, 2)]
-        batch = _relax_batch(params(0.0).u_tilde, SolverSettings(noise_amplitude=1e-3), rows)
-        for (eta, _), report in zip(rows, batch):
+        reports = batch(params(0.0).u_tilde, SolverSettings(noise_amplitude=1e-3), rows)
+        for (eta, _), report in zip(rows, reports):
             assert report.converged
             assert abs(report.mu - mu_uniform(report.winding, params(eta))) < 1e-7
 
     def test_pick_within_a_winding_takes_the_seed_nearest_the_centre(self):
-        def report(winding, energy):
-            psi = RingWavefunction.plane_wave(winding, 64)
-            return GroundStateReport(psi, energy + 1.0, energy, winding, 10, True)
-
-        # the pool comes centre-first (SEED_SHIFTS order); the centre seed and the
-        # +1 seed both relaxed into winding 0, a roundoff apart, and the -1 seed
-        # stayed a real gap of 1e-9 above: whichever of the two in winding 0 lies
-        # lower, the centre seed is the pick
+        # each pool comes centre-first (SEED_SHIFTS order); a row is (winding, mu, energy, converged)
         tolerance = SolverSettings().tolerance
-        for centre, other in ((2.0 + 5e-14, 2.0), (2.0, 2.0 + 5e-14)):
-            pool = [report(0, centre), report(-1, 2.0 + 1e-9), report(0, other)]
-            assert _pick_ground(pool, tolerance) is pool[0]
+
+        def seed(winding, energy, converged=True):
+            return winding, energy + 1.0, energy, converged
+
+        # the centre seed and the +1 seed both relaxed into winding 0, a roundoff
+        # apart, and the -1 seed stayed a real gap of 1e-9 above: whichever of the
+        # two in winding 0 lies lower, the centre seed is the pick
+        pools = [
+            [seed(0, centre), seed(-1, 2.0 + 1e-9), seed(0, other)]
+            for centre, other in ((2.0 + 5e-14, 2.0), (2.0, 2.0 + 5e-14))
+        ]
         # winding -1 ties with winding 0 and wins as the lower winding; within it
         # the first seed that ended there wins, not the lower energy
-        pool = [report(0, 2.0 - 5e-14), report(-1, 2.0 + 5e-14), report(-1, 2.0)]
-        assert _pick_ground(pool, tolerance) is pool[1]
+        pools.append([seed(0, 2.0 - 5e-14), seed(-1, 2.0 + 5e-14), seed(-1, 2.0)])
         # unconverged seeds are passed over while one converged
-        pool[1].converged = False
-        assert _pick_ground(pool, tolerance) is pool[2]
+        pools.append([seed(0, 2.0 - 5e-14), seed(-1, 2.0 + 5e-14, converged=False), seed(-1, 2.0)])
+        assert pick_rows(pools, tolerance) == [0, 0, 1, 2]
+        for pool, expected in zip(pools, [0, 0, 1, 2]):  # each point alone picks the same row
+            assert pick_rows([pool], tolerance) == [expected]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(seed_pools())
+    @hypothesis.example((1e-10, [[(0, 2.0, 2.0, False), (-1, 2.0, 2.0, False), (1, 3.0, 1.0, False)]]))
+    @hypothesis.example((1e-6, [[(1, 1.0, 2.0, True), (-1, 1.0, 2.0, True), (0, 1.0, 2.0 + 1.2e-12, True)]]))
+    def test_array_pick_matches_the_scalar_rule(self, pool_draw):
+        # exact ties, ties within and on the bound, unconverged seeds and points with none
+        # converged: the array pick takes the row the scalar rule takes
+        tolerance, pools = pool_draw
+        expected = []
+        for pool in pools:
+            reports = [
+                SimpleNamespace(winding=w, mu=mu, energy_per_particle=e, converged=c) for w, mu, e, c in pool
+            ]
+            picked = pick_ground(reports, tolerance)
+            expected.append(next(i for i, r in enumerate(reports) if r is picked))
+        assert pick_rows(pools, tolerance) == expected
 
     @pytest.mark.parametrize("u_over_2pi", [0.2, 1.0, 2.0, 5.0])
     def test_search_matches_ground_winding_at_and_next_to_half_integers(self, u_over_2pi):
         # negative eta, exact half-integers and 1e-7 either side of them, one batch per interaction
         etas = [-1.8, -0.3, 0.2, 1.1] + [h + d for h in (-2.5, -1.5, -0.5, 0.5, 1.5) for d in (0.0, 1e-7, -1e-7)]
-        points = [params(eta, u_over_2pi) for eta in etas]
-        reports = global_grounds(points)
-        assert all(report.converged for report in reports)
-        assert [report.winding for report in reports] == [ground_winding(p).winding for p in points]
+        columns = global_grounds(etas, u_over_2pi * TWO_PI)
+        assert columns["converged"].all()
+        assert columns["winding"].tolist() == [ground_winding(params(eta, u_over_2pi)).winding for eta in etas]
 
     def test_two_more_seeds_change_no_report(self, monkeypatch):
         # the seeds two sectors out never win: with them back in (after the three,
-        # so the centre-first order holds) every report keeps its bits
-        points = [params(eta, u_over_2pi) for u_over_2pi in (0.5, 2.0) for eta in (-1.5, -0.65, 0.5000001, 1.3)]
-        three = [global_grounds(points[:4]), global_grounds(points[4:])]
-        monkeypatch.setattr(solver, "SEED_SHIFTS", (*solver.SEED_SHIFTS, -2, 2))
-        five = [global_grounds(points[:4]), global_grounds(points[4:])]
-        for a, b in zip(sum(three, []), sum(five, [])):
-            assert (a.winding, a.mu, a.energy_per_particle, a.iterations, a.converged) == (
-                b.winding, b.mu, b.energy_per_particle, b.iterations, b.converged
-            )
-            np.testing.assert_array_equal(a.wavefunction.amplitudes, b.wavefunction.amplitudes)
+        # so the centre-first order holds) every column and every picked state keeps its bits
+        etas = [-1.5, -0.65, 0.5000001, 1.3]
+        cases = [(u_over_2pi, [params(eta, u_over_2pi) for eta in etas]) for u_over_2pi in (0.5, 2.0)]
 
-    def test_picked_reports_own_their_row(self):
-        # a picked report keeps one row of G amplitudes, not a view of its chunk's stack
-        reports = global_grounds([params(eta) for eta in (-0.4, 0.3, 1.5)])
-        for i, report in enumerate(reports):
+        def search():
+            return [
+                (global_grounds(etas, u_over_2pi * TWO_PI), [global_ground(p) for p in points])
+                for u_over_2pi, points in cases
+            ]
+
+        three = search()
+        monkeypatch.setattr(solver, "SEED_SHIFTS", (*solver.SEED_SHIFTS, -2, 2))
+        five = search()
+        for (columns_a, reports_a), (columns_b, reports_b) in zip(three, five):
+            for name, column in columns_a.items():
+                assert column.dtype == columns_b[name].dtype
+                np.testing.assert_array_equal(column, columns_b[name])
+            for a, b, i in zip(reports_a, reports_b, range(len(etas))):
+                assert (a.winding, a.mu, a.energy_per_particle, a.iterations, a.converged) == (
+                    b.winding, b.mu, b.energy_per_particle, b.iterations, b.converged
+                ) == tuple(columns_a[name][i].item() for name in solver._COLUMNS)
+                np.testing.assert_array_equal(a.wavefunction.amplitudes, b.wavefunction.amplitudes)
+
+    def test_global_ground_owns_its_row(self):
+        # the report keeps one row of G amplitudes, not a view of its chunk's stack,
+        # and records no energy history: only relax does
+        reports = [global_ground(params(eta)) for eta in (-0.4, 0.3, 1.5)]
+        for report in reports:
             amplitudes = report.wavefunction.amplitudes
             assert amplitudes.base is None and amplitudes.shape == (256,)
-            for other in reports[i + 1 :]:
-                assert not np.shares_memory(amplitudes, other.wavefunction.amplitudes)
+            assert report.energy_history.size == 0
 
     def test_unconverged_point_reported_not_raised(self):
         starved = SolverSettings(noise_amplitude=1e-3, max_iterations=3)
-        (report,) = global_grounds([params(0.3)], starved)
-        assert not report.converged
-        assert report.iterations == 3
+        columns = global_grounds([0.3], params(0.3).u_tilde, starved)
+        assert columns["converged"].tolist() == [False]
+        assert columns["iterations"].tolist() == [3]
         single = global_ground(params(0.3), starved)
         assert not single.converged
-        assert single.winding == report.winding
+        assert single.winding == columns["winding"][0]
         assert single.iterations == 3
-        assert global_grounds([], starved) == []
-        with pytest.raises(ValueError, match="u_tilde"):
-            global_grounds([params(0.3, 1.0), params(0.3, 2.0)])
+        empty = global_grounds([], params(0.3).u_tilde, starved)
+        assert list(empty) == ["winding", "mu", "energy_per_particle", "iterations", "converged"]
+        assert [column.shape for column in empty.values()] == [(0,)] * 5
+        assert [column.dtype for column in empty.values()] == [np.int64, np.float64, np.float64, np.int64, bool]
+
+    def test_non_finite_eta_or_u_tilde_rejected_before_any_descent(self, monkeypatch):
+        # RingParams rejects these for global_ground; global_grounds takes plain floats
+        def descend(*args):
+            raise AssertionError("a chunk was relaxed before the rejection")
+
+        monkeypatch.setattr("acring.solver._descend", descend)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                global_grounds([0.3] * 300 + [bad], params(0.3).u_tilde)
+            with pytest.raises(ValueError, match="u_tilde must be finite"):
+                global_grounds([0.3], bad)
 
     def test_seeds_past_the_grid_rejected_before_any_descent(self, monkeypatch):
         # the seeds reach max|shift| windings past [eta], and a 256-point grid holds
@@ -436,19 +545,41 @@ class TestGlobalGround:
         # it fill whole chunks, none of which may be relaxed in vain
         reach = max(map(abs, solver.SEED_SHIFTS))
         eta = round(127.6 - reach, 1)
+        u = params(0.3).u_tilde
 
         def descend(*args):
             raise AssertionError("a chunk was relaxed before the rejection")
 
         monkeypatch.setattr("acring.solver._descend", descend)
         with pytest.raises(ValueError, match=rf"eta={eta} .*\|m0\| = 128, .*grid_size=256"):
-            global_grounds([params(0.3)] * 300 + [params(eta)])
+            global_grounds([0.3] * 300 + [eta], u)
         # a half-integer goes to the lower winding, so -(31.5 - reach) reaches -32
         with pytest.raises(ValueError, match=r"\|m0\| = 32, but grid_size=64 holds only \|m0\| < 32"):
             global_ground(params(-(31.5 - reach)), SolverSettings(grid_size=64, noise_amplitude=1e-3))
-        # one winding inside, the seeds fit
+        # one winding inside, the seeds fit, on either side
         monkeypatch.undo()
-        assert len(global_grounds([params(eta - 1)], SolverSettings(max_iterations=1))) == 1
+        assert len(global_grounds([eta - 1], u, SolverSettings(max_iterations=1))["winding"]) == 1
+        inside = -(31.5 - reach) + 1e-9
+        assert global_ground(params(inside), SolverSettings(grid_size=64, max_iterations=1)).iterations == 1
+
+    def test_search_memory_grows_by_its_columns_only(self, monkeypatch):
+        # two points per chunk, one iteration each: past its chunks the search keeps
+        # its columns (33 bytes a point), not a report or a row per point
+        monkeypatch.setattr(solver, "_BATCH_AMPLITUDES", 2 * len(solver.SEED_SHIFTS) * 256)
+        settings = SolverSettings(noise_amplitude=1e-3, max_iterations=1)
+
+        def peak(points):
+            etas = np.linspace(-2.0, 2.0, points)
+            tracemalloc.start()
+            try:
+                global_grounds(etas, TWO_PI, settings)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(40)  # first-call caches
+        small, large = peak(40), peak(400)
+        assert large - small <= 1024 * (400 - 40)
 
 
 class TestFlowProperties:
@@ -469,22 +600,19 @@ class TestFlowProperties:
             assert np.all(hist[1:] <= hist[:-1] + slack)
 
     def test_norm_restored_after_every_step(self):
-        rng = np.random.default_rng(37)
-        raw = np.exp(1j * phi_grid(256)) + 0.3 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
-        psi = RingWavefunction(raw).normalized()
-        p = params(0.4)
-        for _ in range(200):
-            psi, _, _ = imaginary_time_step(psi, p, 5e-3)
-            assert abs(psi.norm_squared() - 1.0) < 1e-12
+        # the state after every iteration of a noisy descent, up to and past convergence
+        settings = SolverSettings(seed_winding=1, noise_amplitude=0.3, rng_seed=37)
+        for iterations in range(1, 41):
+            report = relax(params(0.4), replace(settings, max_iterations=iterations))
+            assert abs(report.wavefunction.norm_squared() - 1.0) < 1e-12
+        assert report.converged and report.iterations < 40
 
     def test_diverging_step_raises_without_warnings(self):
-        rng = np.random.default_rng(5)
-        raw = np.exp(1j * phi_grid(256)) + 0.3 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
-        psi = RingWavefunction(raw).normalized()
+        settings = SolverSettings(seed_winding=1, noise_amplitude=0.3, rng_seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match="diverged"):
-                imaginary_time_step(psi, RingParams(eta=0.3, u_tilde=1e7), 1e-3)
+                relax(RingParams(eta=0.3, u_tilde=1e300), settings)
 
     def test_gauge_covariance_exact_shift(self):
         settings = SolverSettings(noise_amplitude=1e-3, max_iterations=3000)
@@ -498,10 +626,16 @@ class TestFlowProperties:
     def test_noise_free_seed_never_leaves_its_sector(self):
         p = params(0.7)
         for m0 in (-1, 0, 2):
-            psi = RingWavefunction.plane_wave(m0, 256)
-            for _ in range(300):
-                psi, _, _ = imaginary_time_step(psi, p, 1e-2)
-                assert winding_number(psi) == m0
+            # the plane wave is an eigenstate: it comes back at the first iteration
+            report = relax(p, SolverSettings(seed_winding=m0))
+            assert report.converged and report.iterations == 1 and report.winding == m0
+            plane = RingWavefunction.plane_wave(m0, 256).amplitudes
+            assert np.max(np.abs(report.wavefunction.amplitudes - plane)) < 1e-14
+            # held to a residual it cannot reach, the descent keeps it in its sector
+            for iterations in (2, 5, 30):
+                held = relax(p, SolverSettings(seed_winding=m0, tolerance=1e-300, max_iterations=iterations))
+                assert held.iterations == iterations
+                assert held.winding == winding_number(held.wavefunction) == m0
 
     def test_mu_exceeds_energy_by_half_quartic(self):
         for eta in (0.2, 0.7, 1.4):

@@ -241,42 +241,43 @@ class TestStaircaseNumeric:
         batches = []
         relax_batch = solver._relax_batch
 
-        def spy(u_tilde, settings, seeds):
-            batches.append(len(seeds))
-            return relax_batch(u_tilde, settings, seeds)
+        def spy(u_tilde, settings, etas, seeds):
+            batches.append(len(etas))
+            return relax_batch(u_tilde, settings, etas, seeds)
 
-        reports = []
+        searched = {}
 
-        def grounds(points, settings=None):
-            reports.extend(solver.global_grounds(points, settings))
-            return reports
+        def grounds(etas, u_tilde, settings=None):
+            searched.update(solver.global_grounds(etas, u_tilde, settings))
+            return searched
 
         monkeypatch.setattr(solver, "_relax_batch", spy)
         monkeypatch.setattr(sweeps, "global_grounds", grounds)
-        return staircase(self.BATCHED_SPEC), reports, batches
+        return staircase(self.BATCHED_SPEC), searched, batches
 
-    def _assert_matches(self, columns, reports, per_point):
-        assert len(columns["eta"]) == len(reports) == len(per_point) == 3
-        sweep = zip(columns["winding_T0"].tolist(), columns["mu_eff"].tolist(), columns["converged"].tolist())
-        for (winding, mu, converged), report, single in zip(sweep, reports, per_point):
-            assert winding == report.winding == single.winding
-            assert mu == report.mu
-            assert report.mu == pytest.approx(single.mu, rel=1e-12)
-            assert report.iterations == single.iterations
-            assert converged == report.converged == single.converged
+    def _assert_matches(self, columns, searched, per_point):
+        assert len(columns["eta"]) == len(searched["winding"]) == len(per_point) == 3
+        # the sweep passes the search's columns through, and they hold each point's own search
+        assert columns["winding_T0"] is searched["winding"]
+        assert columns["mu_eff"] is searched["mu"]
+        assert columns["converged"] is searched["converged"]
+        assert searched["winding"].tolist() == [single.winding for single in per_point]
+        assert searched["mu"].tolist() == pytest.approx([single.mu for single in per_point], rel=1e-12)
+        assert searched["iterations"].tolist() == [single.iterations for single in per_point]
+        assert searched["converged"].tolist() == [single.converged for single in per_point]
 
     def test_batched_sweep_matches_per_point_search(self, per_point, monkeypatch):
-        records, reports, batches = self._batched_sweep(monkeypatch)
+        columns, searched, batches = self._batched_sweep(monkeypatch)
         assert batches == [3 * len(solver.SEED_SHIFTS)]  # all seeds of all points in one batch
-        self._assert_matches(records, reports, per_point)
+        self._assert_matches(columns, searched, per_point)
 
     def test_chunked_sweep_matches_per_point_search(self, per_point, monkeypatch):
         # room for two points (one row per seed) per batch: chunks of 2 + 1
         seeds = len(solver.SEED_SHIFTS)
         monkeypatch.setattr(solver, "_BATCH_AMPLITUDES", 2 * seeds * 256 + 1)
-        records, reports, batches = self._batched_sweep(monkeypatch)
+        columns, searched, batches = self._batched_sweep(monkeypatch)
         assert batches == [2 * seeds, seeds]
-        self._assert_matches(records, reports, per_point)
+        self._assert_matches(columns, searched, per_point)
 
     def test_nonconvergence_flagged_but_sweep_continues(self):
         starved = SolverSettings(noise_amplitude=1e-3, max_iterations=3)
