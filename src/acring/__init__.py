@@ -17,7 +17,6 @@ from .ring import (
     ground_winding,
     mu_mixed,
     mu_total,
-    mu_uniform,
 )
 from .solver import (
     GroundStateReport,
@@ -27,7 +26,6 @@ from .solver import (
     global_ground,
     global_grounds,
     relax,
-    winding_number,
 )
 from .sweeps import StaircaseSpec, hysteresis, landscape, staircase
 from .units import (
@@ -59,7 +57,6 @@ __all__ = [
     "ground_winding",
     "mu_mixed",
     "mu_total",
-    "mu_uniform",
     "GroundStateReport",
     "RingWavefunction",
     "SolverSettings",
@@ -67,7 +64,6 @@ __all__ = [
     "global_ground",
     "global_grounds",
     "relax",
-    "winding_number",
     "StaircaseSpec",
     "hysteresis",
     "landscape",

@@ -53,12 +53,16 @@ class RunConfig:
 
 @dataclass
 class CommandResult:
-    """A subcommand's table: one column per header name (an array or a (values, index) pair), and the JSON-only extras."""
+    """A subcommand's table: column names mapped to columns (arrays or (values, index) pairs), and the JSON-only extras."""
 
-    header: list
-    columns: list
+    columns: dict
     extras: dict = field(default_factory=dict)
     convergence_failures: list = field(default_factory=list)
+
+
+def _one_row(row: dict) -> dict:
+    """A one-row table: each name mapped to a one-cell column."""
+    return {name: np.array([value]) for name, value in row.items()}
 
 
 def _fmt(value) -> str:
@@ -116,7 +120,7 @@ def _column_cells(column, csv: bool) -> tuple:
     return "%s", lambda rows: list(map(general, column[rows].tolist()))
 
 
-def _rows(template: str, separator: str, columns, csv: bool):
+def _rows(template: str, separator: str, columns: list, csv: bool):
     """The table's rows in pieces of _CHUNK_ROWS: template (one row, a %s per column) filled with the cells.
 
     Each piece takes its own slice of every column, so that no full-column
@@ -136,11 +140,12 @@ def _rows(template: str, separator: str, columns, csv: bool):
         yield (separator if start else "") + separator.join([row] * size) % tuple(cells)
 
 
-def _render_csv(header, columns):
+def _render_csv(columns: dict):
     """CSV text in pieces, formatted column by column; the bytes of one _fmt call per cell."""
-    yield ",".join(header) + "\n"
-    if columns and _length(columns[0]):
-        yield from _rows(",".join(["%s"] * len(columns)), "\n", columns, csv=True)
+    yield ",".join(columns) + "\n"
+    values = list(columns.values())
+    if values and _length(values[0]):
+        yield from _rows(",".join(["%s"] * len(values)), "\n", values, csv=True)
         yield "\n"
 
 
@@ -149,19 +154,18 @@ def _render_json(config: RunConfig, result: CommandResult):
     payload = {
         "command": config.subcommand,
         "parameters": config.parameters,
-        "columns": result.header,
+        "columns": list(result.columns),
         "rows": [],
     }
     payload.update(result.extras)
     head, _, tail = json.dumps(payload, sort_keys=True, indent=2).partition('\n  "rows": []')
     yield head + '\n  "rows": '
     columns = result.columns
-    if columns and _length(columns[0]):
-        position = {name: i for i, name in enumerate(result.header)}  # a repeated name keeps its last column
-        names = sorted(position)
+    names = sorted(columns)
+    if names and _length(columns[names[0]]):
         keys = ["\n      " + json.dumps(name).replace("%", "%%%%") + ": %s" for name in names]
         yield "[\n    "
-        yield from _rows("{" + ",".join(keys) + "\n    }", ",\n    ", [columns[position[n]] for n in names], csv=False)
+        yield from _rows("{" + ",".join(keys) + "\n    }", ",\n    ", [columns[name] for name in names], csv=False)
         yield "\n  ]"
     else:
         yield "[]"
@@ -249,10 +253,16 @@ def _run_estimate(p: dict) -> CommandResult:
             raise ValueError("line geometry takes exactly one of --n-e / --eta-target")
         density = p["n_e"] if p["n_e"] is not None else units.required_line_density(p["eta_target"], g)
         setup = units.LineChargeSetup(density, g, p["distance"])
-        eta = units.eta_line_charge(setup)
         f_au = units.field_line_charge(setup)
-        header = ["geometry", "lande_g", "n_e_per_m", "probe_distance_m", "eta", "field_au", "field_v_per_cm"]
-        row = ["line", g, density, p["distance"], eta, f_au, units.field_au_to_volts_per_cm(f_au)]
+        row = {
+            "geometry": "line",
+            "lande_g": g,
+            "n_e_per_m": density,
+            "probe_distance_m": p["distance"],
+            "eta": units.eta_line_charge(setup),
+            "field_au": f_au,
+            "field_v_per_cm": units.field_au_to_volts_per_cm(f_au),
+        }
     elif geometry == "torus":
         if (p["sphere_charges"] is None) == (p["eta_target"] is None):
             raise ValueError("torus geometry takes exactly one of --sphere-charges / --eta-target")
@@ -262,21 +272,32 @@ def _run_estimate(p: dict) -> CommandResult:
             else units.required_torus_charges(p["eta_target"], g, p["radius"])
         )
         setup = units.TorusChargeSetup(charges, p["radius"], g)
-        eta = units.eta_torus(setup)
         f_au = units.field_torus(setup)
-        header = ["geometry", "lande_g", "sphere_charges", "torus_radius_m", "eta", "field_au", "field_v_per_cm"]
-        row = ["torus", g, charges, p["radius"], eta, f_au, units.field_au_to_volts_per_cm(f_au)]
+        row = {
+            "geometry": "torus",
+            "lande_g": g,
+            "sphere_charges": charges,
+            "torus_radius_m": p["radius"],
+            "eta": units.eta_torus(setup),
+            "field_au": f_au,
+            "field_v_per_cm": units.field_au_to_volts_per_cm(f_au),
+        }
     else:
         missing = [k for k in ("polarizability", "charges_per_bohr", "b_field") if p[k] is None]
         if missing:
             raise ValueError(f"crossed geometry requires --{missing[0].replace('_', '-')}")
         setup = units.CrossedFieldSetup(p["polarizability"], p["charges_per_bohr"], p["b_field"])
-        header = ["geometry", "polarizability_a0cubed", "charges_per_bohr", "b_gauss", "eta"]
-        row = ["crossed", p["polarizability"], p["charges_per_bohr"], p["b_field"], units.eta_cross_field(setup)]
-    for name, value in zip(header, row):
+        row = {
+            "geometry": "crossed",
+            "polarizability_a0cubed": p["polarizability"],
+            "charges_per_bohr": p["charges_per_bohr"],
+            "b_gauss": p["b_field"],
+            "eta": units.eta_cross_field(setup),
+        }
+    for name, value in row.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} is {value}: the inputs take the estimate past the float range")
-    return CommandResult(header=header, columns=[np.array([value]) for value in row])
+    return CommandResult(_one_row(row))
 
 
 def _run_reduce(p: dict) -> CommandResult:
@@ -290,38 +311,29 @@ def _run_reduce(p: dict) -> CommandResult:
         potential_mean=p["potential_mean"],
     )
     params = build_ring_params(trap, p["eta"])
-    header = [
-        "eta",
-        "u_tilde",
-        "mu_offset",
-        "transverse_kinetic_offset",
-        "radial_term_diagnostic",
-        "energy_unit_joules",
-    ]
-    row = [
-        params.eta,
-        params.u_tilde,
-        params.mu_offset,
-        transverse_kinetic_offset(trap),
-        radial_term_diagnostic(trap),
-        trap.energy_unit,
-    ]
-    return CommandResult(header=header, columns=[np.array([value]) for value in row])
+    row = {
+        "eta": params.eta,
+        "u_tilde": params.u_tilde,
+        "mu_offset": params.mu_offset,
+        "transverse_kinetic_offset": transverse_kinetic_offset(trap),
+        "radial_term_diagnostic": radial_term_diagnostic(trap),
+        "energy_unit_joules": trap.energy_unit,
+    }
+    return CommandResult(_one_row(row))
 
 
 def _run_ground(p: dict) -> CommandResult:
     params = RingParams(eta=p["eta"], u_tilde=_interaction(p), mu_offset=p["mu_offset"])
     result = ground_winding(params)
-    header = ["eta", "u_tilde", "winding", "degenerate", "mu_eff", "mu_total"]
-    row = [
-        params.eta,
-        params.u_tilde,
-        result.winding,
-        result.degenerate,
-        result.mu_eff,
-        mu_total(result.mu_eff, params),
-    ]
-    return CommandResult(header=header, columns=[np.array([value]) for value in row])
+    row = {
+        "eta": params.eta,
+        "u_tilde": params.u_tilde,
+        "winding": result.winding,
+        "degenerate": result.degenerate,
+        "mu_eff": result.mu_eff,
+        "mu_total": mu_total(result.mu_eff, params),
+    }
+    return CommandResult(_one_row(row))
 
 
 def _run_solve(p: dict) -> CommandResult:
@@ -343,29 +355,18 @@ def _run_solve(p: dict) -> CommandResult:
         dump_path = _resolve_path(p["dump_psi"])
         dump_path.parent.mkdir(parents=True, exist_ok=True)
         dump_wavefunction(report.wavefunction, dump_path)
-    header = [
-        "eta",
-        "u_tilde",
-        "search",
-        "winding",
-        "mu",
-        "energy_per_particle",
-        "mu_total",
-        "iterations",
-        "converged",
-    ]
-    row = [
-        params.eta,
-        params.u_tilde,
-        search,
-        report.winding,
-        report.mu,
-        report.energy_per_particle,
-        mu_total(report.mu, params),
-        report.iterations,
-        report.converged,
-    ]
-    return CommandResult(header=header, columns=[np.array([value]) for value in row], convergence_failures=failures)
+    row = {
+        "eta": params.eta,
+        "u_tilde": params.u_tilde,
+        "search": search,
+        "winding": report.winding,
+        "mu": report.mu,
+        "energy_per_particle": report.energy_per_particle,
+        "mu_total": mu_total(report.mu, params),
+        "iterations": report.iterations,
+        "converged": report.converged,
+    }
+    return CommandResult(_one_row(row), convergence_failures=failures)
 
 
 def _run_staircase(p: dict) -> CommandResult:
@@ -382,28 +383,25 @@ def _run_staircase(p: dict) -> CommandResult:
     columns = staircase(spec, settings)
     converged = columns.pop("converged")
     if converged.all():
-        return CommandResult(list(columns), list(columns.values()))
+        return CommandResult(columns)
     unconverged = columns["eta"][~converged].tolist()
     failures = [f"eta={eta}" for eta in unconverged]
-    return CommandResult(
-        list(columns), list(columns.values()), extras={"unconverged_etas": unconverged}, convergence_failures=failures
-    )
+    return CommandResult(columns, extras={"unconverged_etas": unconverged}, convergence_failures=failures)
 
 
 def _run_landscape(p: dict) -> CommandResult:
     points, peaks = landscape(p["m"], p["eta"], _interaction(p), p["x_step"])
     if p["peaks_output"] is not None:
-        _write_text(p["peaks_output"], _render_csv(list(peaks), list(peaks.values())))
+        _write_text(p["peaks_output"], _render_csv(peaks))
     extras = {"peaks": [dict(zip(peaks, row)) for row in zip(*(column.tolist() for column in peaks.values()))]}
-    return CommandResult(list(points), list(points.values()), extras=extras)
+    return CommandResult(points, extras=extras)
 
 
 def _run_hysteresis(p: dict) -> CommandResult:
     path = list(p["eta"])
     if p["loop"] and len(path) > 1:
         path = path + path[-2::-1]
-    columns = hysteresis(path, _interaction(p), p["start_winding"])
-    return CommandResult(list(columns), list(columns.values()))
+    return CommandResult(hysteresis(path, _interaction(p), p["start_winding"]))
 
 
 _HANDLERS = {
@@ -619,7 +617,7 @@ def run(config: RunConfig) -> int:
     if config.output_format == "json":
         pieces = _render_json(config, result)
     else:
-        pieces = _render_csv(result.header, result.columns)
+        pieces = _render_csv(result.columns)
     try:
         _write_text(config.output_path, pieces)
     except OSError as err:

@@ -32,7 +32,6 @@ __all__ = [
     "MixedState",
     "GroundWindingResult",
     "BarrierInfo",
-    "mu_uniform",
     "mu_total",
     "ground_winding",
     "mu_mixed",
@@ -131,18 +130,13 @@ def barrier_peak(m, eta, u_tilde):
     return x_peak, plane_mu(m, eta, u_tilde) + height_from_m, height_from_m, 2.0 * g * (1.0 - x) * (1.0 - x)
 
 
-def mu_uniform(m: int, params: RingParams) -> float:
-    """Chemical potential of the plane wave with winding m: (m-eta)^2 + u/(2 pi)."""
-    return float(plane_mu(m, params.eta, params.u_tilde))
-
-
 def mu_total(mu_value: float, params: RingParams) -> float:
     """Add the winding-independent offset back onto a chemical potential."""
     return mu_value + params.mu_offset
 
 
 def ground_winding(params: RingParams) -> GroundWindingResult:
-    """Winding that minimizes mu_uniform: the integer nearest to eta.
+    """Winding whose plane wave has the lowest plane_mu: the integer nearest to eta.
 
     At exact half-integer eta the two neighbors tie; the lower integer is
     returned with degenerate=True so sweeps stay deterministic.

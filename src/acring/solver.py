@@ -48,7 +48,6 @@ __all__ = [
     "mode_numbers",
     "apply_hamiltonian",
     "relax",
-    "winding_number",
     "global_ground",
     "global_grounds",
     "dump_wavefunction",
@@ -115,21 +114,9 @@ class RingWavefunction:
         a = self.amplitudes
         return float((a.real**2 + a.imag**2).sum()) * TWO_PI / self.grid_size
 
-    def normalized(self) -> "RingWavefunction":
-        n2 = self.norm_squared()
-        if not (math.isfinite(n2) and n2 > 0):
-            raise ValueError("cannot normalize a zero or non-finite wavefunction")
-        return RingWavefunction(self.amplitudes / math.sqrt(n2))
-
     def density(self) -> np.ndarray:
         a = self.amplitudes
         return a.real**2 + a.imag**2
-
-    @classmethod
-    def plane_wave(cls, winding: int, grid_size: int) -> "RingWavefunction":
-        """Unit-normalized e^{i m phi} / sqrt(2 pi) sampled on the grid."""
-        phi = phi_grid(grid_size)
-        return cls(np.exp(1j * winding * phi) / math.sqrt(TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -144,7 +131,7 @@ class SolverSettings:
     noise_amplitude: per-mode complex Gaussian noise added to the seed,
         drawn relative to the seed winding (zero seeds the plane wave, an
         exact eigenstate that relax returns as it is); finite and >= 0
-    rng_seed: seed of the noise generator, fixed for reproducibility
+    rng_seed: seed of the noise generator, fixed for reproducibility; >= 0
     """
 
     grid_size: int = 256
@@ -164,6 +151,8 @@ class SolverSettings:
             raise ValueError("seed_winding must satisfy |m0| < grid_size/2")
         if not 0 <= self.noise_amplitude < math.inf:
             raise ValueError("noise_amplitude must be finite and >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass
@@ -171,7 +160,7 @@ class GroundStateReport:
     """Outcome of one relaxation run.
 
     mu and energy_per_particle are in ring units (offset excluded, same scale
-    as ring.mu_uniform).  iterations counts the residual evaluations of the
+    as ring.plane_mu).  iterations counts the residual evaluations of the
     descent, the last one included: 1 for a seed that is already an
     eigenstate.  energy_history holds the energy of every iteration of a
     relax run, useful for monotonicity checks; global_ground records none
@@ -287,7 +276,11 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
     iteration) the trial arrays become the state, with no gather or
     scatter.  Otherwise the accepted rows are written in place and only the
     rest are gathered, halved and tried again, _HALVINGS trials in all; a
-    row that accepts none keeps its state.
+    row that accepts none keeps its state.  A row that accepts none in two
+    iterations running would repeat the second to the end: its state,
+    residual and gradient come back bit for bit, and with them beta = 0 (or
+    a restart) and the direction -P R.  It leaves the stack at once with
+    the report max_iterations would give it.
 
     Every row keeps its own direction and angle and leaves the stack once it
     stops, so its trajectory does not depend on its neighbours.  An
@@ -305,6 +298,8 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
     out_iterations = np.zeros(rows, dtype=int)
     out_converged = np.zeros(rows, dtype=bool)
     live = np.arange(rows)
+    failed = np.full(rows, -1)  # per row: the last iteration that accepted no trial
+    halted = None  # rows of the stack that accepted no trial two iterations running
     psi = np.fft.ifft(spec)
     mu, energy, dens = _energies(spec, psi, kin, u, v)
     precond = kin + (u / TWO_PI + 1.0)
@@ -325,10 +320,17 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
             history.append(float(energy[0]))
         stop = res <= tolerance * np.maximum(1.0, np.abs(mu))
         leave = stop if it < max_iterations else np.ones_like(stop)
+        if halted is not None:
+            leave = leave | halted
         if leave.any():
             done = live[leave]
             out_psi[done], out_mu[done], out_energy[done] = psi[leave], mu[leave], energy[leave]
             out_iterations[done], out_converged[done] = it, stop[leave]
+            if halted is not None:
+                out_iterations[live[halted]] = max_iterations
+                if history is not None:
+                    history.extend([history[-1]] * (max_iterations - it))
+                halted = None
             keep = ~leave
             live = live[keep]
             if live.size == 0:
@@ -385,6 +387,12 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
             todo = todo[~ok]
             if todo.size == 0:
                 break
+        if todo.size:  # rows that accepted no trial
+            again = todo[failed[live[todo]] == it - 1]
+            failed[live[todo]] = it
+            if again.size:
+                halted = np.zeros(live.size, dtype=bool)
+                halted[again] = True
     return out_psi, out_mu, out_energy, out_iterations, out_converged
 
 
@@ -417,20 +425,6 @@ def _windings(amplitudes):
     node = (peak == 0.0) | (mags.min(axis=1) < NODE_FLOOR * peak)
     increments = np.angle(np.roll(amplitudes, -1, axis=1) * np.conj(amplitudes))
     return np.round(increments.sum(axis=1) / TWO_PI), node
-
-
-def winding_number(psi: RingWavefunction) -> int:
-    """Net phase turns around the ring, from principal-branch increments.
-
-    Sums arg(psi_{j+1} / psi_j) over the closed loop and divides by 2 pi;
-    exact for node-free states resolved by the grid.  Raises when any |psi_j|
-    sits below 1e-10 of the maximum: the phase (and hence the winding) is
-    undefined through a density node.
-    """
-    (turns,), (node,) = _windings(psi.amplitudes[None])
-    if node:
-        raise ValueError("winding undefined: wavefunction has a density node")
-    return int(turns)
 
 
 def _relax_batch(u_tilde: float, settings: SolverSettings, etas, seeds, v=None, history=None) -> tuple:

@@ -48,12 +48,15 @@ MAX_GRID_POINTS = 10**7  # larger grids are rejected before any list is built
 
 def _grid_count(start: float, stop: float, step: float) -> int:
     """Number of points of eta_grid(start, stop, step), validated without building it."""
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"the grid's {name} must be finite")
     if step <= 0:
         raise ValueError("step must be > 0")
     if stop < start:
         raise ValueError("stop must be >= start")
     span = (stop - start) / step + 0.5
-    if not span < MAX_GRID_POINTS:  # also catches inf and nan
+    if not span < MAX_GRID_POINTS:  # also catches an overflow to inf
         raise ValueError(f"grid would exceed {MAX_GRID_POINTS} points; increase the step")
     return int(math.floor(span)) + 1
 

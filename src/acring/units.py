@@ -71,6 +71,11 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        _require(math.isfinite(value), f"{name} must be finite, got {value}")
+
+
 def _divisor(value: float, name: str, given: float) -> float:
     """value, a denominator built from the input name = given; rejected where it rounds to zero."""
     _require(value != 0, f"{name}={given} is too small: a denominator built from it rounds to zero")
@@ -92,6 +97,7 @@ class LineChargeSetup:
     probe_distance: float = 1e-3
 
     def __post_init__(self) -> None:
+        _require_finite(**vars(self))
         _require(self.linear_charge_density >= 0, "linear_charge_density must be >= 0")
         _require(self.lande_g != 0, "lande_g must be nonzero")
         _require(self.probe_distance > 0, "probe_distance must be > 0")
@@ -111,6 +117,7 @@ class TorusChargeSetup:
     lande_g: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(**vars(self))
         _require(self.sphere_charge_count >= 0, "sphere_charge_count must be >= 0")
         _require(self.torus_radius > 0, "torus_radius must be > 0")
         _require(self.lande_g != 0, "lande_g must be nonzero")
@@ -133,6 +140,7 @@ class CrossedFieldSetup:
     magnetic_field: float
 
     def __post_init__(self) -> None:
+        _require_finite(**vars(self))
         _require(self.static_polarizability >= 0, "static_polarizability must be >= 0")
         _require(self.magnetic_field >= 0, "magnetic_field must be >= 0")
 
@@ -155,6 +163,7 @@ def required_line_density(eta_target: float, lande_g: float) -> float:
     eta = 1 with g_F = 1 needs about 3.55e14 charges per meter, i.e. a few
     charges per Compton length.
     """
+    _require_finite(eta_target=eta_target, lande_g=lande_g)
     _require(lande_g != 0, "lande_g must be nonzero")
     denominator = lande_g * CONSTANTS.fine_structure_alpha * CONSTANTS.compton_length
     return eta_target / _divisor(denominator, "lande_g", lande_g)
@@ -204,6 +213,7 @@ def required_torus_charges(eta_target: float, lande_g: float, torus_radius: floa
     Inverse of eta_torus: N_e = 2 * rho0_bar * eta / (g_F * alpha).  Order
     2 rho0_bar / alpha charges for eta near one.
     """
+    _require_finite(eta_target=eta_target, lande_g=lande_g, torus_radius=torus_radius)
     _require(lande_g != 0, "lande_g must be nonzero")
     _require(torus_radius > 0, "torus_radius must be > 0")
     rho0_bar = torus_radius / CONSTANTS.compton_length

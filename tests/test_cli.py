@@ -93,6 +93,9 @@ class TestEstimate:
                 ["--geometry", "crossed", "--polarizability", "1e300", "--charges-per-bohr", "1e300", "--b-field", "1"],
                 "eta is inf",
             ),
+            # a non-finite input: "probe_distance must be > 0" and "lande_g is nan: ... past the float range" before
+            (["--geometry", "line", "--distance", "nan", "--n-e", "1e14"], "probe_distance must be finite, got nan"),
+            (["--geometry", "torus", "--sphere-charges", "1e9", "--g-f", "nan"], "lande_g must be finite, got nan"),
         ],
     )
     def test_float_extremes_exit_3(self, tmp_path, capsys, argv, message):
@@ -302,6 +305,16 @@ class TestSolve:
         assert "must be finite" in err_lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["0", "1e-3"])
+    def test_negative_rng_seed_exits_3(self, tmp_path, capsys, noise):
+        # it ran and exited 0 without noise, and printed numpy's "expected non-negative integer" with it
+        out = tmp_path / "s.csv"
+        code = main(["solve", "--eta", "0.3", "--u-tilde", "1", "--noise-amplitude", noise, "--rng-seed", "-1",
+                     "--output", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == ["error: validation: rng_seed must be >= 0"]
+        assert not out.exists()
+
     def test_tau_step_is_a_usage_error(self, tmp_path):
         # the descent takes no time step; the flag and its config key are gone
         out = tmp_path / "s.csv"
@@ -400,6 +413,24 @@ class TestStaircaseCommand:
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 3
         assert err_lines == ["error: validation: the grid's last point, 1.7e+308 + 2 * 5e+306, overflows floats"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["staircase", "--eta", "nan:1:0.5"], "start"),
+            (["staircase", "--eta", "0:1:nan"], "step"),
+            (["hysteresis", "--eta", "0:nan:1"], "stop"),
+            (["landscape", "--eta", "0.5", "--x-step", "nan"], "step"),
+            (["landscape", "--eta", "0.5", "--x-step", "inf"], "step"),
+        ],
+    )
+    def test_non_finite_grid_exits_3(self, tmp_path, capsys, argv, name):
+        # nan said "grid would exceed 10000000 points", and an inf x step "0.0 + 0 * inf overflows floats"
+        out = tmp_path / "g.csv"
+        code = main([*argv, "--u-tilde", "1", "--output", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: validation: the grid's {name} must be finite"]
         assert not out.exists()
 
     def test_numeric_strong_interaction_converges_to_the_plane_waves(self, tmp_path):
@@ -795,6 +826,51 @@ def test_twelve_significant_digit_floats(tmp_path):
     assert record["mu_eff"] == f"{mu:.12g}"
 
 
+SOLVE_COLUMNS = ["eta", "u_tilde", "search", "winding", "mu", "energy_per_particle", "mu_total", "iterations", "converged"]
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        pytest.param(
+            ["estimate", "--geometry", "line", "--n-e", "3.55e14"],
+            ["geometry", "lande_g", "n_e_per_m", "probe_distance_m", "eta", "field_au", "field_v_per_cm"],
+            id="estimate-line",
+        ),
+        pytest.param(
+            ["estimate", "--geometry", "torus", "--eta-target", "1"],
+            ["geometry", "lande_g", "sphere_charges", "torus_radius_m", "eta", "field_au", "field_v_per_cm"],
+            id="estimate-torus",
+        ),
+        pytest.param(
+            ["estimate", "--geometry", "crossed", "--polarizability", "300", "--charges-per-bohr", "1",
+             "--b-field", "10"],
+            ["geometry", "polarizability_a0cubed", "charges_per_bohr", "b_gauss", "eta"],
+            id="estimate-crossed",
+        ),
+        pytest.param(
+            TestReduceCommand.ARGV,
+            ["eta", "u_tilde", "mu_offset", "transverse_kinetic_offset", "radial_term_diagnostic",
+             "energy_unit_joules"],
+            id="reduce",
+        ),
+        pytest.param(
+            ["ground", "--eta", "0.7", "--u-tilde", "1"],
+            ["eta", "u_tilde", "winding", "degenerate", "mu_eff", "mu_total"],
+            id="ground",
+        ),
+        pytest.param(["solve", "--eta", "0.3", "--u-tilde", "1"], SOLVE_COLUMNS, id="solve-seeded"),
+        pytest.param(["solve", "--eta", "0.3", "--u-tilde", "1", "--global"], SOLVE_COLUMNS, id="solve-global"),
+    ],
+)
+def test_one_row_tables_keep_their_column_order(tmp_path, argv, columns):
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main([*argv, "--output", str(csv_out)]) == 0
+    assert main([*argv, "--format", "json", "--output", str(json_out)]) == 0
+    assert csv_out.read_text().split("\n")[0] == ",".join(columns)
+    assert json.loads(json_out.read_text())["columns"] == columns
+
+
 def typed(column):
     """A column as a builder hands it over: the array numpy makes of it, or an object array where numpy cannot."""
     try:
@@ -809,12 +885,12 @@ def typed(column):
 
 
 class TestColumnarRendering:
-    """_render_csv and _render_json take columns and give the text in pieces; these references write one cell or dict at a time.
+    """_render_csv and _render_json take a name-to-column dict and give the text in pieces; these references write one cell or dict at a time.
 
-    Each table is written as rows below, and handed to the renderers as its
-    typed columns, the arrays numpy makes of list(zip(*rows)).  The
-    references write the cells' Python values.  A table without columns has
-    no rows either.
+    Each table is written as a header and rows below, and handed to the
+    renderers as its names mapped to its typed columns, the arrays numpy
+    makes of list(zip(*rows)).  The references write the cells' Python
+    values.  A table without columns has no rows either.
     """
 
     @staticmethod
@@ -839,16 +915,22 @@ class TestColumnarRendering:
         payload = {
             "command": config.subcommand,
             "parameters": config.parameters,
-            "columns": result.header,
-            "rows": [dict(zip(result.header, row)) for row in zip(*map(cell_values, result.columns))],
+            "columns": list(result.columns),
+            "rows": [dict(zip(result.columns, row)) for row in zip(*map(cell_values, result.columns.values()))],
         }
         payload.update(result.extras)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
+    @staticmethod
+    def table(header, rows):
+        """The header's names mapped to the typed columns of rows; a table with no rows keeps its names."""
+        return {name: typed([row[j] for row in rows]) for j, name in enumerate(header)}
+
     def assert_renders(self, header, columns):
-        assert "".join(_render_csv(header, columns)) == self.reference_csv(header, list(zip(*map(cell_values, columns))))
+        table = dict(zip(header, columns))
+        assert "".join(_render_csv(table)) == self.reference_csv(header, list(zip(*map(cell_values, columns))))
         for extras in self.EXTRAS:
-            result = CommandResult(header=header, columns=columns, extras=extras)
+            result = CommandResult(table, extras=extras)
             assert "".join(_render_json(self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
 
     BIG = 10**400
@@ -867,7 +949,6 @@ class TestColumnarRendering:
         (HEADER, [tuple(row) for row in ROWS]),  # rows as attrgetter tuples
         (HEADER, ROWS[:1]),
         (HEADER, []),  # empty table
-        (["b", "a", "b"], [[1.0, 2.0, 3.0]]),  # a repeated name keeps its last column, as in dict()
         ([], [[], []]),
         (["only"], [[5e-324], [-5e-324]]),
         (["unsigned", "int"], [[2**63, -(2**63)], [2**64 - 1, 2**63 - 1]]),  # uint64 and int64 extremes
@@ -896,13 +977,13 @@ class TestColumnarRendering:
 
     @pytest.mark.parametrize("header, rows", TABLES)
     def test_csv_matches_cell_by_cell_reference(self, header, rows):
-        columns = [typed(column) for column in zip(*rows)]
-        assert "".join(_render_csv(header, columns)) == self.reference_csv(header, list(zip(*map(cell_values, columns))))
+        table = self.table(header, rows)
+        assert "".join(_render_csv(table)) == self.reference_csv(header, list(zip(*map(cell_values, table.values()))))
 
     @pytest.mark.parametrize("header, rows", TABLES)
     @pytest.mark.parametrize("extras", EXTRAS)
     def test_json_matches_json_dumps(self, header, rows, extras):
-        result = CommandResult(header=header, columns=[typed(column) for column in zip(*rows)], extras=extras)
+        result = CommandResult(self.table(header, rows), extras=extras)
         assert "".join(_render_json(self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
 
     @pytest.mark.parametrize("header, columns", COLUMN_TABLES)
@@ -922,11 +1003,11 @@ class TestColumnarRendering:
                 np.array([None, 1, 2.5, "s", True, [1], {"k": -0.0}, 10**30, -(10**30)], dtype=object),
             ],
         )
-        assert "".join(_render_csv(["f"], [signed])).split("\n")[1:5] == ["0", "-0", "nan", "nan"]
-        result = CommandResult(header=["f"], columns=[signed])
+        assert "".join(_render_csv({"f": signed})).split("\n")[1:5] == ["0", "-0", "nan", "nan"]
+        result = CommandResult({"f": signed})
         rows = json.loads("".join(_render_json(self.JSON_CONFIG, result)))["rows"]
         assert [row["f"] for row in rows][4:6] == [math.inf, -math.inf]
-        finite = CommandResult(header=["f"], columns=[signed[[0, 1, 6, 7, 8]]])
+        finite = CommandResult({"f": signed[[0, 1, 6, 7, 8]]})
         assert '"f": -0.0' in "".join(_render_json(self.JSON_CONFIG, finite))
 
     @pytest.mark.parametrize("pieces", [1, 3])
@@ -950,7 +1031,7 @@ class TestColumnarRendering:
         rows = 2 * 4096 + 5
         columns = [np.arange(rows, dtype=np.int64) - 4096, np.arange(rows) * -0.1, np.arange(rows) % 3 == 0]
         self.assert_renders(["n", "x", "flag"], columns)
-        assert "".join(_render_csv(["n", "x", "flag"], columns)).count("\n") == rows + 1
+        assert "".join(_render_csv(dict(zip(["n", "x", "flag"], columns)))).count("\n") == rows + 1
 
 
 STAIRCASE_HEADER = ["eta", "winding_T0", "classical_mean", "thermal_mean", "mu_eff", "degenerate"]

@@ -14,7 +14,6 @@ from acring.ring import (
     ground_winding,
     mu_mixed,
     mu_total,
-    mu_uniform,
     nearest_winding,
     plane_mu,
     two_mode_mu,
@@ -31,20 +30,22 @@ def params(eta, u_over_2pi=2.0):
 
 class TestMuUniform:
     def test_interaction_plateau(self):
-        assert mu_uniform(0, params(0.0)) == pytest.approx(2.0, abs=1e-15)
+        p = params(0.0)
+        assert plane_mu(0, p.eta, p.u_tilde) == pytest.approx(2.0, abs=1e-15)
 
     def test_phase_fully_absorbed_by_winding(self):
-        assert mu_uniform(1, RingParams(eta=1.0, u_tilde=0.0)) == 0.0
+        assert plane_mu(1, 1.0, 0.0) == 0.0
 
     def test_half_integer_value(self):
-        assert mu_uniform(0, FIG_PARAMS) == pytest.approx(2.25, abs=1e-15)
+        assert plane_mu(0, FIG_PARAMS.eta, FIG_PARAMS.u_tilde) == pytest.approx(2.25, abs=1e-15)
 
     def test_offset_accessor(self):
         p = RingParams(eta=0.0, u_tilde=0.0, mu_offset=1.5)
-        assert mu_total(mu_uniform(0, p), p) == pytest.approx(1.5)
+        assert mu_total(plane_mu(0, p.eta, p.u_tilde), p) == pytest.approx(1.5)
 
     def test_plane_wave_state_carries_winding(self):
-        assert mu_uniform(-2, params(0.5)) == pytest.approx(8.25, abs=1e-13)
+        p = params(0.5)
+        assert plane_mu(-2, p.eta, p.u_tilde) == pytest.approx(8.25, abs=1e-13)
 
 
 class TestGroundWinding:
@@ -61,7 +62,7 @@ class TestGroundWinding:
         assert result.winding == winding
         assert result.degenerate
         p = params(eta)
-        assert abs(mu_uniform(result.winding, p) - mu_uniform(result.winding + 1, p)) <= 1e-12
+        assert abs(plane_mu(result.winding, p.eta, p.u_tilde) - plane_mu(result.winding + 1, p.eta, p.u_tilde)) <= 1e-12
 
     def test_degeneracy_only_at_half_integers(self):
         rng = np.random.default_rng(3)
@@ -69,7 +70,7 @@ class TestGroundWinding:
             eta = float(rng.uniform(-3, 3))
             p = params(eta)
             res = ground_winding(p)
-            gap = abs(mu_uniform(res.winding, p) - mu_uniform(res.winding + 1, p))
+            gap = abs(plane_mu(res.winding, p.eta, p.u_tilde) - plane_mu(res.winding + 1, p.eta, p.u_tilde))
             frac = eta - math.floor(eta)
             if frac == 0.5:
                 assert gap <= 1e-12
@@ -85,8 +86,9 @@ class TestGroundWinding:
             assert ground_winding(params(eta + shift)).winding == ground_winding(params(eta)).winding + shift
 
     def test_mu_eff_matches_uniform(self):
-        res = ground_winding(params(0.7))
-        assert res.mu_eff == pytest.approx(mu_uniform(1, params(0.7)), abs=1e-15)
+        p = params(0.7)
+        res = ground_winding(p)
+        assert res.mu_eff == pytest.approx(plane_mu(1, p.eta, p.u_tilde), abs=1e-15)
         assert res.mu_eff == pytest.approx(2.09, abs=1e-12)
 
 
@@ -96,8 +98,8 @@ class TestMixedState:
         for _ in range(50):
             p = params(float(rng.uniform(-2, 2)), float(rng.uniform(0.1, 5)))
             m = int(rng.integers(-2, 3))
-            assert mu_mixed(MixedState(m, 0.0), p) == pytest.approx(mu_uniform(m, p), rel=1e-14)
-            assert mu_mixed(MixedState(m, 1.0), p) == pytest.approx(mu_uniform(m + 1, p), rel=1e-14)
+            assert mu_mixed(MixedState(m, 0.0), p) == pytest.approx(plane_mu(m, p.eta, p.u_tilde), rel=1e-14)
+            assert mu_mixed(MixedState(m, 1.0), p) == pytest.approx(plane_mu(m + 1, p.eta, p.u_tilde), rel=1e-14)
 
     def test_half_mixing_example(self):
         assert mu_mixed(MixedState(0, 0.5), FIG_PARAMS) == pytest.approx(3.25, abs=1e-14)
@@ -187,7 +189,7 @@ class TestBarrier:
             for got, want in zip(heights, self.exact_climbs(m, eta, u)):
                 assert got >= 0.0
                 assert abs(Fraction(got) - want) <= Fraction(1e-13) * want, (m, eta, u)
-            assert info.mu_peak == mu_uniform(m, RingParams(eta=eta, u_tilde=u)) + info.height_from_m
+            assert info.mu_peak == plane_mu(m, eta, u) + info.height_from_m
 
     def test_absent_outside_metastability_window(self):
         u = 2.0 * TWO_PI
@@ -235,7 +237,7 @@ class TestArrayForms:
         for u in self.U_TILDES:
             for m in self.WINDINGS:
                 array = plane_mu(m, self.ETAS, u)
-                scalar = [mu_uniform(m, RingParams(eta=eta, u_tilde=u)) for eta in self.ETAS.tolist()]
+                scalar = [plane_mu(m, eta, u) for eta in self.ETAS.tolist()]
                 formula = [(m - eta) ** 2 + u / TWO_PI for eta in self.ETAS.tolist()]
                 assert same_bits(array, scalar)
                 assert same_bits(array, formula)

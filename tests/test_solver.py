@@ -13,7 +13,7 @@ import pytest
 
 from acring import solver
 from acring.reduction import RingParams
-from acring.ring import ground_winding, mu_uniform
+from acring.ring import ground_winding, plane_mu
 from acring.solver import (
     GroundStateReport,
     RingWavefunction,
@@ -25,15 +25,25 @@ from acring.solver import (
     mode_numbers,
     phi_grid,
     relax,
-    winding_number,
 )
-from acring.solver import _ENERGY_SLACK, _pick_grounds, _relax_batch, _report
+from acring.solver import _ENERGY_SLACK, _HALVINGS, _pick_grounds, _relax_batch, _report, _windings
 
 TWO_PI = 2.0 * math.pi
 
 
 def params(eta, u_over_2pi=2.0):
     return RingParams(eta=eta, u_tilde=u_over_2pi * TWO_PI)
+
+
+def plane_wave(winding, grid_size):
+    """The unit plane wave e^{i m phi} / sqrt(2 pi) on the grid."""
+    return RingWavefunction(np.exp(1j * winding * phi_grid(grid_size)) / math.sqrt(TWO_PI))
+
+
+def winding_of(amplitudes):
+    """_windings on one state: (turns, whether it has a density node)."""
+    (turns,), (node,) = _windings(np.asarray(amplitudes)[None])
+    return turns, node
 
 
 def batch(u_tilde, settings, pairs):
@@ -116,16 +126,16 @@ class TestApplyHamiltonian:
         for _ in range(5):
             m = int(rng.integers(-5, 6))
             p = params(float(rng.uniform(-2, 3)), float(rng.uniform(0, 4)))
-            psi = RingWavefunction.plane_wave(m, grid_size)
+            psi = plane_wave(m, grid_size)
             image = apply_hamiltonian(psi, p)
             eigenvalue = (np.vdot(psi.amplitudes, image.amplitudes) * TWO_PI / grid_size).real
-            assert eigenvalue == pytest.approx(mu_uniform(m, p), rel=1e-12)
+            assert eigenvalue == pytest.approx(plane_mu(m, p.eta, p.u_tilde), rel=1e-12)
             # pointwise residual limited by spectral leakage amplified by (G/2)^2
-            residual = np.max(np.abs(image.amplitudes - mu_uniform(m, p) * psi.amplitudes))
+            residual = np.max(np.abs(image.amplitudes - plane_mu(m, p.eta, p.u_tilde) * psi.amplitudes))
             assert residual < 1e-13 * (grid_size / 2) ** 2 + 1e-12
 
     def test_free_rotor_eigenvalue(self):
-        psi = RingWavefunction.plane_wave(3, 256)
+        psi = plane_wave(3, 256)
         image = apply_hamiltonian(psi, RingParams(eta=0.0, u_tilde=0.0))
         eigenvalue = (np.vdot(psi.amplitudes, image.amplitudes) * TWO_PI / 256).real
         assert eigenvalue == pytest.approx(9.0, rel=1e-12)
@@ -135,7 +145,7 @@ class TestApplyHamiltonian:
         rng = np.random.default_rng(21)
         for _ in range(10):
             raw = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-            psi = RingWavefunction(raw).normalized()
+            psi = RingWavefunction(raw / math.sqrt(RingWavefunction(raw).norm_squared()))
             image = apply_hamiltonian(psi, params(0.7, 1.3))
             overlap = np.vdot(psi.amplitudes, image.amplitudes) * TWO_PI / 128
             assert abs(overlap.imag) < 1e-12
@@ -153,7 +163,7 @@ class TestRelax:
         assert report.iterations == 1  # the seed is the plane wave: its residual already passes
         assert report.winding == 0
         assert report.mu == pytest.approx(0.09 + 2.0, rel=1e-8)
-        assert report.mu == pytest.approx(mu_uniform(0, params(0.3)), rel=1e-12)
+        assert report.mu == pytest.approx(plane_mu(0, 0.3, params(0.3).u_tilde), rel=1e-12)
 
     def test_metastable_sectors_at_eta_07(self):
         low = relax(params(0.7), SolverSettings(seed_winding=1))
@@ -244,25 +254,25 @@ class TestRelax:
 
 
 class TestWindingNumber:
+    """_windings, the readout _relax_batch runs on its final states."""
+
     def test_plane_waves(self):
-        assert winding_number(RingWavefunction.plane_wave(5, 256)) == 5
-        assert winding_number(RingWavefunction.plane_wave(0, 256)) == 0
-        assert winding_number(RingWavefunction.plane_wave(-3, 128)) == -3
+        assert winding_of(plane_wave(5, 256).amplitudes) == (5, False)
+        assert winding_of(plane_wave(0, 256).amplitudes) == (0, False)
+        assert winding_of(plane_wave(-3, 128).amplitudes) == (-3, False)
 
     def test_constant_state(self):
-        psi = RingWavefunction(np.full(64, 1.0 + 0.0j))
-        assert winding_number(psi) == 0
+        assert winding_of(np.full(64, 1.0 + 0.0j)) == (0, False)
 
-    def test_node_raises(self):
+    def test_node_is_flagged(self):
         amps = np.exp(1j * phi_grid(64))
         amps[10] = 0.0
-        with pytest.raises(ValueError, match="node"):
-            winding_number(RingWavefunction(amps))
+        assert winding_of(amps)[1]
 
     def test_survives_small_admixture(self):
         phi = phi_grid(256)
         amps = np.exp(2j * phi) + 0.05 * np.exp(3j * phi)
-        assert winding_number(RingWavefunction(amps).normalized()) == 2
+        assert winding_of(amps / math.sqrt(RingWavefunction(amps).norm_squared())) == (2, False)
 
     def test_batch_readout_falls_back_to_the_dominant_mode_at_a_node(self, monkeypatch):
         # the batch reads every row's winding in one pass; a row through a density node has
@@ -282,10 +292,9 @@ class TestWindingNumber:
         monkeypatch.setattr(solver, "_descend", descend)
         reports = batch(1.0, SolverSettings(grid_size=128), [(0.0, 0)] * len(states))
         assert [r.winding for r in reports] == [3, 1, 0, -3]
-        assert [winding_number(RingWavefunction(a)) for a in states[:2]] == [3, 1]
-        for amplitudes in states[2:]:
-            with pytest.raises(ValueError, match="node"):
-                winding_number(RingWavefunction(amplitudes))
+        turns, node = _windings(states)
+        assert turns[:2].tolist() == [3, 1]
+        assert node.tolist() == [False, False, True, True]
 
 
 class TestGlobalGround:
@@ -419,7 +428,7 @@ class TestGlobalGround:
             psi = report.wavefunction
             image = apply_hamiltonian(psi, params(eta)).amplitudes
             assert np.max(np.abs(image - report.mu * psi.amplitudes)) < 1e-9
-            assert report.mu == pytest.approx(mu_uniform(report.winding, params(eta)), rel=1e-9)
+            assert report.mu == pytest.approx(plane_mu(report.winding, eta, params(eta).u_tilde), rel=1e-9)
 
     def test_batch_rows_stop_at_the_fixed_point_not_at_a_turning_point(self):
         # under restarted momentum these rows passed a turning point of mu
@@ -429,7 +438,7 @@ class TestGlobalGround:
         reports = batch(params(0.0).u_tilde, SolverSettings(noise_amplitude=1e-3), rows)
         for (eta, _), report in zip(rows, reports):
             assert report.converged
-            assert abs(report.mu - mu_uniform(report.winding, params(eta))) < 1e-7
+            assert abs(report.mu - plane_mu(report.winding, eta, params(eta).u_tilde)) < 1e-7
 
     def test_pick_within_a_winding_takes_the_seed_nearest_the_centre(self):
         # each pool comes centre-first (SEED_SHIFTS order); a row is (winding, mu, energy, converged)
@@ -629,13 +638,33 @@ class TestFlowProperties:
             # the plane wave is an eigenstate: it comes back at the first iteration
             report = relax(p, SolverSettings(seed_winding=m0))
             assert report.converged and report.iterations == 1 and report.winding == m0
-            plane = RingWavefunction.plane_wave(m0, 256).amplitudes
+            plane = plane_wave(m0, 256).amplitudes
             assert np.max(np.abs(report.wavefunction.amplitudes - plane)) < 1e-14
             # held to a residual it cannot reach, the descent keeps it in its sector
             for iterations in (2, 5, 30):
                 held = relax(p, SolverSettings(seed_winding=m0, tolerance=1e-300, max_iterations=iterations))
                 assert held.iterations == iterations
-                assert held.winding == winding_number(held.wavefunction) == m0
+                assert winding_of(held.wavefunction.amplitudes) == (m0, False)
+                assert held.winding == m0
+
+    def test_a_row_that_takes_no_step_twice_stops_halving(self, monkeypatch):
+        # the plane wave is a stationary point the residual test cannot accept at
+        # tolerance 1e-300: no trial lowers its energy, so every iteration would
+        # spend all _HALVINGS trials on it and leave it where it was
+        calls = []
+        trial = solver._trial
+        monkeypatch.setattr(solver, "_trial", lambda *args: calls.append(1) or trial(*args))
+        settings = SolverSettings(tolerance=1e-300, max_iterations=300)
+        report = relax(params(0.7), settings)
+        assert len(calls) <= 2 * _HALVINGS
+        assert report.iterations == 300 and not report.converged and report.winding == 0
+        history = report.energy_history
+        assert history.size == 300 and np.all(history == history[0])
+        assert np.max(np.abs(report.wavefunction.amplitudes - plane_wave(0, 256).amplitudes)) < 1e-14
+        # the state is the one the first iteration left, as a run stopped there reports it
+        first = relax(params(0.7), replace(settings, max_iterations=2))
+        assert report.wavefunction.amplitudes.tobytes() == first.wavefunction.amplitudes.tobytes()
+        assert (report.mu, report.energy_per_particle) == (first.mu, first.energy_per_particle)
 
     def test_mu_exceeds_energy_by_half_quartic(self):
         for eta in (0.2, 0.7, 1.4):
@@ -673,6 +702,8 @@ class TestTypesAndSettings:
             SolverSettings(max_iterations=0)
         with pytest.raises(ValueError):
             SolverSettings(seed_winding=200, grid_size=256)
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            SolverSettings(rng_seed=-1)
 
     def test_mode_numbers_convention(self):
         k = mode_numbers(64)
@@ -680,7 +711,7 @@ class TestTypesAndSettings:
         assert k[32] == -32 and k[63] == -1
 
     def test_plane_wave_normalized(self):
-        psi = RingWavefunction.plane_wave(2, 128)
+        psi = plane_wave(2, 128)
         assert abs(psi.norm_squared() - 1.0) < 1e-12
 
 

@@ -174,6 +174,30 @@ def test_outputs_finite_and_nonnegative_for_nonnegative_inputs():
         assert all(np.isfinite(v) and v >= 0 for v in values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_named(bad):
+    # nan passed the sign checks, or failed them as "must be > 0", and inf passed them
+    cases = [
+        (lambda: LineChargeSetup(bad, 1.0), "linear_charge_density"),
+        (lambda: LineChargeSetup(1.0, bad), "lande_g"),
+        (lambda: LineChargeSetup(1.0, 1.0, bad), "probe_distance"),
+        (lambda: TorusChargeSetup(bad, 1e-3), "sphere_charge_count"),
+        (lambda: TorusChargeSetup(1.0, bad), "torus_radius"),
+        (lambda: TorusChargeSetup(1.0, 1e-3, bad), "lande_g"),
+        (lambda: CrossedFieldSetup(bad, 1.0, 1.0), "static_polarizability"),
+        (lambda: CrossedFieldSetup(1.0, bad, 1.0), "charges_per_bohr"),
+        (lambda: CrossedFieldSetup(1.0, 1.0, bad), "magnetic_field"),
+        (lambda: required_line_density(bad, 1.0), "eta_target"),
+        (lambda: required_line_density(1.0, bad), "lande_g"),
+        (lambda: required_torus_charges(bad, 1.0, 1e-3), "eta_target"),
+        (lambda: required_torus_charges(1.0, bad, 1e-3), "lande_g"),
+        (lambda: required_torus_charges(1.0, 1.0, bad), "torus_radius"),
+    ]
+    for build, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+            build()
+
+
 def test_field_unit_conversion():
     assert field_au_to_volts_per_cm(1.0) == pytest.approx(5.142e9)
     assert field_au_to_volts_per_cm(2e-3) == pytest.approx(1.0284e7)
