@@ -346,10 +346,9 @@ def _run_solve(p: dict) -> CommandResult:
             f"(eta={params.eta}, u_tilde={params.u_tilde})"
         )
     else:
-        settings = _build_settings(p, default_noise=0.0, seed_winding=p["seed_winding"])
-        report = relax(params, settings)
+        report = relax(params, _build_settings(p, default_noise=0.0, seed_winding=p["seed_winding"]))
         search = "seeded"
-        miss = f"relax did not converge within {settings.max_iterations} iterations (eta={params.eta})"
+        miss = f"relax did not converge within {report.iterations} iterations (eta={params.eta})"
     failures = [] if report.converged else [miss]
     if p["dump_psi"] is not None:
         dump_path = _resolve_path(p["dump_psi"])
@@ -605,22 +604,15 @@ def run(config: RunConfig) -> int:
     """Dispatch one validated invocation; returns the process exit code."""
     try:
         result = _HANDLERS[config.subcommand](config.parameters)
-    except ValueError as err:
+        if config.output_format == "json":
+            pieces = _render_json(config, result)
+        else:
+            pieces = _render_csv(result.columns)
+        _write_text(config.output_path, pieces)
+    except (ValueError, ArithmeticError) as err:  # a miss comes back as converged=False, not raised
         print(f"error: validation: {err}", file=sys.stderr)
         return 3
-    except ArithmeticError as err:  # a diverged descent; a miss comes back as converged=False
-        print(f"error: convergence: {err}", file=sys.stderr)
-        return 4
-    except OSError as err:  # a side file: --peaks-output, --dump-psi
-        print(f"error: io: {err}", file=sys.stderr)
-        return 3
-    if config.output_format == "json":
-        pieces = _render_json(config, result)
-    else:
-        pieces = _render_csv(result.columns)
-    try:
-        _write_text(config.output_path, pieces)
-    except OSError as err:
+    except OSError as err:  # the output, or a side file: --peaks-output, --dump-psi
         print(f"error: io: {err}", file=sys.stderr)
         return 3
     if result.convergence_failures:
@@ -636,14 +628,8 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _inject_config(argv)
-    except (OSError, ValueError) as err:
-        print(f"error: validation: {err}", file=sys.stderr)
-        return 3
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _GridRejected as err:
+        args = build_parser().parse_args(_inject_config(argv))
+    except (OSError, ValueError, _GridRejected) as err:  # an unreadable or bad config file, a refused grid
         print(f"error: validation: {err}", file=sys.stderr)
         return 3
     reserved = {"subcommand", "output", "format", "config"}

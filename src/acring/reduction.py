@@ -59,6 +59,9 @@ class TrapSetup:
     potential_mean: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.atom_count < 1:
             raise ValueError("atom_count must be >= 1")
         if self.atom_mass <= 0:
@@ -207,7 +210,9 @@ def build_ring_params(trap: TrapSetup, eta: float) -> RingParams:
     winding-independent constants eta^2/2, the averaged trap potential in
     ring units, and the transverse kinetic term.
     """
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
-    offset = eta**2 / 2.0 + trap.potential_mean / trap.energy_unit + transverse_kinetic_offset(trap)
+    try:  # RingParams names a non-finite eta
+        gauge = eta**2 / 2.0
+    except OverflowError:  # past |eta| of about 1.34e154
+        raise ValueError(f"eta={eta} is too large: eta**2 overflows floats") from None
+    offset = gauge + trap.potential_mean / trap.energy_unit + transverse_kinetic_offset(trap)
     return RingParams(eta=eta, u_tilde=effective_interaction(trap), mu_offset=offset)

@@ -230,7 +230,11 @@ def field_torus(setup: TorusChargeSetup) -> float:
     """
     rho0_bar = setup.torus_radius / CONSTANTS.compton_length
     alpha = CONSTANTS.fine_structure_alpha
-    return setup.sphere_charge_count / _divisor(rho0_bar**2, "torus_radius", setup.torus_radius) / alpha**2
+    try:
+        square = rho0_bar**2
+    except OverflowError:  # from torus_radius of about 5.18e141 m
+        raise ValueError(f"torus_radius={setup.torus_radius} is too large: its square in Compton lengths overflows floats") from None
+    return setup.sphere_charge_count / _divisor(square, "torus_radius", setup.torus_radius) / alpha**2
 
 
 def eta_cross_field(setup: CrossedFieldSetup) -> float:

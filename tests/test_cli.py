@@ -96,6 +96,8 @@ class TestEstimate:
             # a non-finite input: "probe_distance must be > 0" and "lande_g is nan: ... past the float range" before
             (["--geometry", "line", "--distance", "nan", "--n-e", "1e14"], "probe_distance must be finite, got nan"),
             (["--geometry", "torus", "--sphere-charges", "1e9", "--g-f", "nan"], "lande_g must be finite, got nan"),
+            # rho0_bar**2 overflowed: exit 4 "(34, 'Numerical result out of range')"
+            (["--geometry", "torus", "--radius", "1e200", "--eta-target", "1"], "torus_radius=1e+200 is too large"),
         ],
     )
     def test_float_extremes_exit_3(self, tmp_path, capsys, argv, message):
@@ -109,12 +111,15 @@ class TestEstimate:
         assert not out.exists()
 
     def test_conflicting_inputs_exit_3(self, capsys):
-        code = main(
-            ["estimate", "--geometry", "line", "--n-e", "1e14", "--eta-target", "1"]
-        )
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.err.startswith("error: validation:")
+        for argv, message in (
+            (["--geometry", "line", "--n-e", "1e14", "--eta-target", "1"], "exactly one of --n-e / --eta-target"),
+            (["--geometry", "torus", "--radius", "1e-3"], "exactly one of --sphere-charges / --eta-target"),
+            (["--geometry", "crossed", "--polarizability", "300"], "requires --charges-per-bohr"),
+        ):
+            code = main(["estimate", *argv])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.err.startswith("error: validation:") and message in captured.err
 
 
 class TestGround:
@@ -197,13 +202,19 @@ class TestSolve:
         assert dict(zip(header, rows[0]))["converged"] == "false"
 
     def test_divergence_exits_4_with_one_error_line(self, tmp_path, capsys):
+        # the residual overflows at the first iteration; a diverged row is a miss, written and flagged
         out = tmp_path / "s.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["solve", "--eta", "0.3", "--u-tilde", "1e300", "--global", "--output", str(out)])
-        err_lines = capsys.readouterr().err.splitlines()
         assert code == 4
-        assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
+        assert capsys.readouterr().err == (
+            "error: convergence: 1 point(s) unconverged: no seed converged within 1 iterations "
+            "(eta=0.3, u_tilde=1e+300)\n"
+        )
+        header, rows = read_csv(out)
+        record = dict(zip(header, rows[0]))
+        assert (record["iterations"], record["converged"]) == ("1", "false")
 
     def test_seeded_divergence_exits_4_with_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -213,9 +224,13 @@ class TestSolve:
                 ["solve", "--eta", "0.3", "--u-tilde", "1e300", "--noise-amplitude", "1e-3",
                  "--output", str(out)]
             )
-        err_lines = capsys.readouterr().err.splitlines()
         assert code == 4
-        assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
+        assert capsys.readouterr().err == (
+            "error: convergence: 1 point(s) unconverged: relax did not converge within 1 iterations (eta=0.3)\n"
+        )
+        header, rows = read_csv(out)
+        record = dict(zip(header, rows[0]))
+        assert (record["iterations"], record["converged"]) == ("1", "false")
 
     @pytest.mark.parametrize("eta", ["1e300", "-2e154"])
     def test_seeded_eta_past_the_kinetic_range_exits_3(self, tmp_path, capsys, eta):
@@ -389,16 +404,48 @@ class TestStaircaseCommand:
         assert columns["numeric"] == columns["analytic"]
 
     def test_numeric_divergence_exits_4_with_one_error_line(self, tmp_path, capsys):
-        out = tmp_path / "st.csv"
+        # every row diverges at its first iteration; all are written, and the one line lists them
+        out = tmp_path / "st.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(
                 ["staircase", "--eta=0:0.5:0.25", "--u-tilde", "1e300", "--mode", "numeric",
-                 "--output", str(out)]
+                 "--format", "json", "--output", str(out)]
             )
-        err_lines = capsys.readouterr().err.splitlines()
         assert code == 4
-        assert len(err_lines) == 1 and err_lines[0].startswith("error: convergence:")
+        assert capsys.readouterr().err == "error: convergence: 3 point(s) unconverged: eta=0.0; eta=0.25; eta=0.5\n"
+        payload = json.loads(out.read_text())
+        assert [row["eta"] for row in payload["rows"]] == payload["unconverged_etas"] == [0.0, 0.25, 0.5]
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_numeric_miss_writes_every_row_and_exits_4(self, tmp_path, capsys, output_format):
+        out = tmp_path / f"st.{output_format}"
+        code = main(
+            ["staircase", "--eta=0:0.5:0.25", "--u-tilde-over-2pi", "2", "--mode", "numeric", "--max-iterations", "2",
+             "--format", output_format, "--output", str(out)]
+        )
+        assert code == 4
+        assert capsys.readouterr().err == "error: convergence: 3 point(s) unconverged: eta=0.0; eta=0.25; eta=0.5\n"
+        if output_format == "csv":
+            assert [row[0] for row in read_csv(out)[1]] == ["0", "0.25", "0.5"]
+        else:
+            payload = json.loads(out.read_text())
+            assert [row["eta"] for row in payload["rows"]] == payload["unconverged_etas"] == [0.0, 0.25, 0.5]
+
+    @pytest.mark.parametrize("command", ["staircase", "landscape"])
+    def test_range_without_a_step_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--eta", "0:1", "--u-tilde", "1", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "expected start:stop:step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_descending_range_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert main(["staircase", "--eta=1:0:0.5", "--u-tilde", "1", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == "error: validation: eta_stop must be >= eta_start\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", [["staircase"], ["staircase", "--mode", "numeric"], ["hysteresis"]], ids=" ".join
@@ -723,6 +770,8 @@ class TestReduceCommand:
             ("--radius", "1e300", "torus_radius must lie within"),
             # the energy unit hbar^2 / (2 M rho_0^2) underflowed to zero: exit 4 "float division by zero"
             ("--radius", "1e150", "atom_mass and torus_radius put the energy unit"),
+            # eta**2 overflowed: exit 4 "(34, 'Numerical result out of range')"
+            ("--eta", "1e155", "eta=1e+155 is too large"),
         ],
     )
     def test_lengths_outside_the_floats_exit_3(self, tmp_path, capsys, flag, value, message):
@@ -749,6 +798,32 @@ class TestReduceCommand:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            # "u_tilde must be finite" before
+            ("--atoms", "atom_count"),
+            ("--scattering-length", "scattering_length"),
+            # "atom_mass and torus_radius put the energy unit ... outside the floats" before
+            ("--mass", "atom_mass"),
+            # "torus_radius must lie within about 1.5e-154 to 1.3e154 m" before
+            ("--radius", "torus_radius"),
+            ("--width-rho", "width_rho"),
+            ("--width-z", "width_z"),
+            # "mu_offset must be finite" before
+            ("--potential-mean", "potential_mean"),
+            ("--eta", "eta"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_is_named(self, tmp_path, capsys, flag, name, value):
+        out = tmp_path / "r.csv"
+        code = main(self.ARGV + [f"{flag}={value}", "--output", str(out)])
+        assert code == 3
+        message = "eta must be finite" if name == "eta" else f"{name} must be finite, got {float(value)}"
+        assert capsys.readouterr().err == f"error: validation: {message}\n"
+        assert not out.exists()
+
     def test_valid_trap_exits_0(self, tmp_path):
         out = tmp_path / "r.csv"
         assert main(self.ARGV + ["--output", str(out)]) == 0
@@ -758,12 +833,14 @@ class TestReduceCommand:
 class TestConfigAndEnvironment:
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta=0.7\nu-tilde-over-2pi=2\n")
-        out = tmp_path / "g.csv"
-        code = main(["ground", "--config", str(cfg), "--output", str(out)])
-        assert code == 0
-        header, rows = read_csv(out)
-        assert dict(zip(header, rows[0]))["winding"] == "1"
+        cfg.write_text("# a worked example\n\neta=0.7\n  # indented comment\nu-tilde-over-2pi=2\n")
+        for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+            out = tmp_path / "g.csv"
+            code = main(["ground", *form, "--output", str(out)])
+            assert code == 0
+            header, rows = read_csv(out)
+            assert dict(zip(header, rows[0]))["winding"] == "1"
+            out.unlink()
 
     def test_explicit_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -787,6 +864,11 @@ class TestConfigAndEnvironment:
                 "eta=-0.5,-1.25,-2\nu_tilde=1\nloop=true\n",
                 ["--eta=-0.5,-1.25,-2", "--u-tilde", "1", "--loop"],
             ),
+            (
+                "hysteresis",
+                "# no loop\n\neta=-0.5,-1.25,-2\nu_tilde=1\nloop=false\n",
+                ["--eta=-0.5,-1.25,-2", "--u-tilde", "1", "--no-loop"],
+            ),
         ],
     )
     def test_negative_config_values_match_explicit_flags(self, tmp_path, command, config, flags):
@@ -802,6 +884,16 @@ class TestConfigAndEnvironment:
         code = main(["ground", "--config", str(tmp_path / "nope.cfg"), "--eta", "1", "--u-tilde", "1"])
         assert code == 3
         assert "error: validation:" in capsys.readouterr().err
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("eta=1\nu_tilde 1\n")
+        assert main(["ground", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: validation: bad config line: 'u_tilde 1'\n"
+
+    def test_output_path_that_is_a_directory_exits_3(self, tmp_path, capsys):
+        code = main(["ground", "--eta", "0.7", "--u-tilde-over-2pi", "2", "--output", str(tmp_path)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: io:")
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ACRING_OUTPUT_DIR", str(tmp_path))
@@ -814,6 +906,17 @@ class TestConfigAndEnvironment:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("eta,u_tilde,winding")
+
+
+@pytest.mark.parametrize("fault", [OverflowError(34, "Numerical result out of range"), ZeroDivisionError("float division by zero")])
+def test_an_arithmetic_fault_is_the_inputs(monkeypatch, capsys, fault):
+    # a solve reports a miss, diverged or not, as converged=False; exit 4 comes from those alone
+    def handler(parameters):
+        raise fault
+
+    monkeypatch.setitem(acring.cli._HANDLERS, "ground", handler)
+    assert main(["ground", "--eta", "0.7", "--u-tilde", "1"]) == 3
+    assert capsys.readouterr().err == f"error: validation: {fault}\n"
 
 
 def test_twelve_significant_digit_floats(tmp_path):

@@ -251,6 +251,10 @@ class TestRelax:
     def test_potential_shape_validated(self):
         with pytest.raises(ValueError):
             relax(params(0.0), SolverSettings(), potential=np.zeros(100))
+        potential = np.zeros(256)
+        potential[3] = math.nan
+        with pytest.raises(ValueError, match="potential must be finite"):
+            relax(params(0.0), SolverSettings(), potential=potential)
 
 
 class TestWindingNumber:
@@ -616,12 +620,22 @@ class TestFlowProperties:
             assert abs(report.wavefunction.norm_squared() - 1.0) < 1e-12
         assert report.converged and report.iterations < 40
 
-    def test_diverging_step_raises_without_warnings(self):
+    def test_diverging_row_ends_as_a_miss_without_warnings(self):
+        # the residual overflows at the first iteration: the row leaves there with its
+        # seed, the last state it accepted.  It raised ArithmeticError before; left to
+        # iterate, it would run all 50,000 iterations
         settings = SolverSettings(seed_winding=1, noise_amplitude=0.3, rng_seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArithmeticError, match="diverged"):
-                relax(RingParams(eta=0.3, u_tilde=1e300), settings)
+            for u in (1e300, 1e308):
+                p = RingParams(eta=0.3, u_tilde=u)
+                for report in (relax(p, settings), global_ground(p)):
+                    assert not report.converged and report.iterations == 1
+                    assert abs(report.wavefunction.norm_squared() - 1.0) < 1e-12
+                    assert np.isfinite(report.wavefunction.amplitudes).all()
+                columns = global_grounds([0.0, 0.25, 0.5], u)
+                assert columns["converged"].tolist() == [False] * 3
+                assert columns["iterations"].tolist() == [1] * 3
 
     def test_gauge_covariance_exact_shift(self):
         settings = SolverSettings(noise_amplitude=1e-3, max_iterations=3000)
@@ -687,6 +701,8 @@ class TestTypesAndSettings:
         assert SolverSettings(grid_size=2**16).grid_size == 2**16
         with pytest.raises(ValueError):
             RingWavefunction(np.ones(48, dtype=complex))
+        with pytest.raises(ValueError, match="amplitudes must be a 1D array"):
+            RingWavefunction(np.ones((2, 64), dtype=complex))
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
