@@ -1,9 +1,11 @@
-"""Command-line interface.
+"""Command-line interface, with ``main`` as its one entry point.
 
-Every capability is a subcommand emitting CSV or JSON; identical invocations
-(including rng seeds) produce byte-identical output, so sweep files can be
-kept under golden-file regression.  Floats are printed with 12 significant
-digits.  Exit codes: 0 success, 2 usage, 3 validation, 4 non-convergence.
+main parses an invocation, runs the subcommand's handler, and writes the
+table the handler returns.  Every capability is a subcommand emitting CSV or
+JSON; identical invocations (including rng seeds) produce byte-identical
+output, so sweep files can be kept under golden-file regression.  Floats are
+printed with 12 significant digits.  Exit codes: 0 success, 2 usage,
+3 validation, 4 non-convergence.
 
 An optional plain-text config file (``key=value`` per line, ``#`` comments)
 supplies defaults for any long flag of the subcommand; flags given on the
@@ -33,22 +35,12 @@ from .reduction import (
     transverse_kinetic_offset,
 )
 from .ring import ground_winding, mu_total
-from .solver import SolverSettings, dump_wavefunction, global_ground, relax
+from .solver import SEARCH_NOISE, SolverSettings, dump_wavefunction, global_ground, relax
 from .sweeps import StaircaseSpec, eta_grid, hysteresis, landscape, staircase
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 ENV_OUTPUT_DIR = "ACRING_OUTPUT_DIR"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: subcommand, its parameters, and the sink."""
-
-    subcommand: str
-    parameters: dict
-    output_path: str
-    output_format: str
 
 
 @dataclass
@@ -70,16 +62,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
     return str(value)
-
-
-def _json_value(value) -> str:
-    """value as json.dumps(payload, sort_keys=True, indent=2) writes it inside a row."""
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n      ")
 
 
 # Rows per rendered piece.  A piece converts its own slice of each column and
@@ -104,9 +87,11 @@ def _column_cells(column, csv: bool) -> tuple:
     the texts; a bool column is the pair over (False, True).  Any other
     dtype, and a JSON float column holding NaN or infinities (json writes
     NaN, Infinity, -Infinity), goes cell by cell through _fmt or
-    _json_value.
+    json.dumps.  The cells that commands send that way are str, bool, the
+    empty cell, Python ints past int64 and non-finite floats: none of them
+    nests, so json.dumps writes each as it would inside the payload.
     """
-    general = _fmt if csv else _json_value
+    general = _fmt if csv else json.dumps
     if isinstance(column, tuple):
         values, index = column
         conversion, take = _column_cells(values, csv)
@@ -141,7 +126,7 @@ def _rows(template: str, separator: str, columns: list, csv: bool):
 
 
 def _render_csv(columns: dict):
-    """CSV text in pieces, formatted column by column; the bytes of one _fmt call per cell."""
+    """CSV text in pieces, formatted column by column: floats '%.12g', bools true/false, the empty cell empty."""
     yield ",".join(columns) + "\n"
     values = list(columns.values())
     if values and _length(values[0]):
@@ -149,11 +134,11 @@ def _render_csv(columns: dict):
         yield "\n"
 
 
-def _render_json(config: RunConfig, result: CommandResult):
+def _render_json(subcommand: str, parameters: dict, result: CommandResult):
     """json.dumps(payload, sort_keys=True, indent=2) in pieces, with the rows written by column."""
     payload = {
-        "command": config.subcommand,
-        "parameters": config.parameters,
+        "command": subcommand,
+        "parameters": parameters,
         "columns": list(result.columns),
         "rows": [],
     }
@@ -173,10 +158,12 @@ def _render_json(config: RunConfig, result: CommandResult):
 
 
 def _resolve_path(path: str) -> Path:
+    """An output path, under $ACRING_OUTPUT_DIR when relative and that is set; its parent directory is made."""
     p = Path(path)
     base = os.environ.get(ENV_OUTPUT_DIR)
     if base and not p.is_absolute():
         p = Path(base) / p
+    p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -185,9 +172,7 @@ def _write_text(output_path: str, pieces) -> None:
     if output_path == "-":
         sys.stdout.writelines(pieces)
         return
-    dest = _resolve_path(output_path)
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    with dest.open("w", encoding="utf-8", newline="") as out:  # byte-exact across platforms
+    with _resolve_path(output_path).open("w", encoding="utf-8", newline="") as out:  # byte-exact across platforms
         out.writelines(pieces)
 
 
@@ -339,7 +324,7 @@ def _run_ground(p: dict) -> CommandResult:
 def _run_solve(p: dict) -> CommandResult:
     params = RingParams(eta=p["eta"], u_tilde=_interaction(p), mu_offset=p["mu_offset"])
     if p["global_search"]:
-        report = global_ground(params, _build_settings(p, default_noise=1e-3))
+        report = global_ground(params, _build_settings(p, default_noise=SEARCH_NOISE))
         search = "global"
         miss = (
             f"no seed converged within {report.iterations} iterations "
@@ -351,9 +336,7 @@ def _run_solve(p: dict) -> CommandResult:
         miss = f"relax did not converge within {report.iterations} iterations (eta={params.eta})"
     failures = [] if report.converged else [miss]
     if p["dump_psi"] is not None:
-        dump_path = _resolve_path(p["dump_psi"])
-        dump_path.parent.mkdir(parents=True, exist_ok=True)
-        dump_wavefunction(report.wavefunction, dump_path)
+        dump_wavefunction(report.wavefunction, _resolve_path(p["dump_psi"]))
     row = {
         "eta": params.eta,
         "u_tilde": params.u_tilde,
@@ -378,7 +361,7 @@ def _run_staircase(p: dict) -> CommandResult:
         mode=p["mode"],
         condensate_weight=p["weight"],
     )
-    settings = _build_settings(p, default_noise=1e-3) if spec.mode == "numeric" else None
+    settings = _build_settings(p, default_noise=SEARCH_NOISE) if spec.mode == "numeric" else None
     columns = staircase(spec, settings)
     converged = columns.pop("converged")
     if converged.all():
@@ -600,15 +583,23 @@ def _inject_config(argv: list) -> list:
     return [argv[0]] + _load_config_flags(cfg) + argv[1:]
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one validated invocation; returns the process exit code."""
+def main(argv=None) -> int:
+    """Parse one invocation, run its subcommand and write the table; returns the process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        result = _HANDLERS[config.subcommand](config.parameters)
-        if config.output_format == "json":
-            pieces = _render_json(config, result)
+        args = build_parser().parse_args(_inject_config(argv))
+    except (OSError, ValueError, _GridRejected) as err:  # an unreadable or bad config file, a refused grid
+        print(f"error: validation: {err}", file=sys.stderr)
+        return 3
+    reserved = {"subcommand", "output", "format", "config"}
+    parameters = {k: v for k, v in vars(args).items() if k not in reserved}
+    try:
+        result = _HANDLERS[args.subcommand](parameters)
+        if args.format == "json":
+            pieces = _render_json(args.subcommand, parameters, result)
         else:
             pieces = _render_csv(result.columns)
-        _write_text(config.output_path, pieces)
+        _write_text(args.output, pieces)
     except (ValueError, ArithmeticError) as err:  # a miss comes back as converged=False, not raised
         print(f"error: validation: {err}", file=sys.stderr)
         return 3
@@ -623,24 +614,6 @@ def run(config: RunConfig) -> int:
         )
         return 4
     return 0
-
-
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        args = build_parser().parse_args(_inject_config(argv))
-    except (OSError, ValueError, _GridRejected) as err:  # an unreadable or bad config file, a refused grid
-        print(f"error: validation: {err}", file=sys.stderr)
-        return 3
-    reserved = {"subcommand", "output", "format", "config"}
-    parameters = {k: v for k, v in vars(args).items() if k not in reserved}
-    config = RunConfig(
-        subcommand=args.subcommand,
-        parameters=parameters,
-        output_path=args.output,
-        output_format=args.format,
-    )
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -208,11 +208,25 @@ def build_ring_params(trap: TrapSetup, eta: float) -> RingParams:
 
     u_tilde comes from effective_interaction; mu_offset collects the
     winding-independent constants eta^2/2, the averaged trap potential in
-    ring units, and the transverse kinetic term.
+    ring units, and the transverse kinetic term.  A term that finite
+    inputs take past the float range is reported with the fields behind it.
     """
-    try:  # RingParams names a non-finite eta
+    if not math.isfinite(eta):
+        raise ValueError("eta must be finite")
+    try:
         gauge = eta**2 / 2.0
     except OverflowError:  # past |eta| of about 1.34e154
         raise ValueError(f"eta={eta} is too large: eta**2 overflows floats") from None
-    offset = gauge + trap.potential_mean / trap.energy_unit + transverse_kinetic_offset(trap)
-    return RingParams(eta=eta, u_tilde=effective_interaction(trap), mu_offset=offset)
+    u_tilde = effective_interaction(trap)
+    potential = trap.potential_mean / trap.energy_unit
+    kinetic = transverse_kinetic_offset(trap)
+    offset = gauge + potential + kinetic
+    for term, value, fields in (
+        ("u_tilde", u_tilde, "atom_count, scattering_length, width_rho and width_z"),
+        ("potential_mean / energy_unit", potential, "potential_mean, atom_mass and torus_radius"),
+        ("transverse_kinetic_offset", kinetic, "torus_radius, width_rho and width_z"),
+        ("mu_offset", offset, "eta, potential_mean and the trap's mass and lengths"),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{term} is {value}: {fields} take it past the float range")
+    return RingParams(eta=eta, u_tilde=u_tilde, mu_offset=offset)

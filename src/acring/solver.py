@@ -58,6 +58,7 @@ NODE_FLOOR = 1e-10  # fraction of max |psi| below which winding is undefined
 # a seed two sectors out never wins: its plane wave is unstable whenever u_tilde/(2 pi) < 4
 # (|m - eta| >= 1.5 > sqrt(1 + u_tilde/pi)/2), so it leaves its own sector
 SEED_SHIFTS = (0, -1, 1)
+SEARCH_NOISE = 1e-3  # seed noise of the global search when none is asked for, so seeds can slide out of their sectors
 _BATCH_AMPLITUDES = 2**17  # cap on rows * grid_size in one batched relaxation
 MAX_GRID_SIZE = 2**16  # larger grids are rejected before anything is allocated
 _MAX_ANGLE = 0.5  # cap on the great-circle step of one descent iteration (radians)
@@ -517,7 +518,7 @@ def _search_input(etas, u_tilde: float, settings: SolverSettings | None) -> tupl
     Rejects a non-finite eta or u_tilde, and names the first eta whose seed windings do not fit the grid.
     """
     if settings is None:
-        settings = SolverSettings(noise_amplitude=1e-3)
+        settings = SolverSettings(noise_amplitude=SEARCH_NOISE)
     etas = np.asarray(etas, dtype=np.float64)
     if not np.isfinite(etas).all():
         raise ValueError("eta must be finite")
@@ -577,7 +578,7 @@ def global_ground(params: RingParams, settings: SolverSettings | None = None) ->
     the descent never raises the energy and the plane-wave energies are
     convex in m, so a ground other than [eta] draws the seed [eta]+-1 on its
     side below the energy of [eta].  With settings=None a small seeded
-    noise (1e-3, fixed rng) is used so seeds can slide out of their
+    noise (SEARCH_NOISE, fixed rng) is used so seeds can slide out of their
     sectors.  When every seed fails to converge, the best attempt comes
     back with converged=False, as from relax and global_grounds.  This is
     global_grounds at one point, and the one search that returns a state:

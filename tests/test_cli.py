@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import acring
-from acring.cli import CommandResult, RunConfig, _render_csv, _render_json, main
+from acring.cli import CommandResult, _render_csv, _render_json, main
 from acring.solver import SEED_SHIFTS
 from acring.sweeps import StaircaseSpec, eta_grid, hysteresis
 from test_sweeps import cell_values, hysteresis_loop, landscape_loop, staircase_loop
@@ -772,11 +772,20 @@ class TestReduceCommand:
             ("--radius", "1e150", "atom_mass and torus_radius put the energy unit"),
             # eta**2 overflowed: exit 4 "(34, 'Numerical result out of range')"
             ("--eta", "1e155", "eta=1e+155 is too large"),
+            # finite inputs whose term overflows; flag may carry a first input before the second flag.
+            # "mu_offset must be finite" before
+            ("--potential-mean", "1e300", "potential_mean / energy_unit is inf: potential_mean, atom_mass and"),
+            # "u_tilde must be finite" before
+            ("--atoms 1e300 --scattering-length", "1e300", "u_tilde is inf: atom_count, scattering_length,"),
+            # "mu_offset must be finite" before
+            ("--radius 1e10 --width-rho", "1e-150", "transverse_kinetic_offset is inf: torus_radius, width_rho"),
+            # finite terms whose sum overflows; "mu_offset must be finite" before
+            ("--eta 1.3e154 --potential-mean", "1.46e271", "mu_offset is inf: eta, potential_mean"),
         ],
     )
     def test_lengths_outside_the_floats_exit_3(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "r.csv"
-        code = main(self.ARGV + [flag, value, "--output", str(out)])
+        code = main(self.ARGV + [*flag.split(), value, "--output", str(out)])
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 3
         assert len(err_lines) == 1 and err_lines[0].startswith(f"error: validation: {message}")
@@ -889,6 +898,21 @@ class TestConfigAndEnvironment:
         assert main(["ground", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == "error: validation: bad config line: 'u_tilde 1'\n"
 
+    def test_no_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_config_before_the_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        # the config is read only after a subcommand: a bad line here would have exited 3
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("eta=1\nu_tilde 1\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(cfg), "ground", "--eta", "0.7", "--u-tilde", "1"])
+        assert exit_info.value.code == 2
+        assert "error: validation" not in capsys.readouterr().err
+
     def test_output_path_that_is_a_directory_exits_3(self, tmp_path, capsys):
         code = main(["ground", "--eta", "0.7", "--u-tilde-over-2pi", "2", "--output", str(tmp_path)])
         err_lines = capsys.readouterr().err.splitlines()
@@ -974,6 +998,52 @@ def test_one_row_tables_keep_their_column_order(tmp_path, argv, columns):
     assert json.loads(json_out.read_text())["columns"] == columns
 
 
+RENDERER_CONTRACT_CALLS = [
+    ["estimate", "--geometry", "line", "--n-e", "3.55e14"],
+    ["estimate", "--geometry", "torus", "--eta-target", "1"],
+    ["estimate", "--geometry", "crossed", "--polarizability", "300", "--charges-per-bohr", "1", "--b-field", "10"],
+    TestReduceCommand.ARGV,
+    ["ground", "--eta", "0.5", "--u-tilde", "1"],
+    ["ground", "--eta", "1e300", "--u-tilde", "1"],  # a winding past int64
+    ["solve", "--eta", "0.3", "--u-tilde", "1", "--max-iterations", "50"],
+    ["solve", "--eta=-0.5", "--u-tilde", "1", "--global"],
+    ["staircase", "--eta=-0.5:1:0.25", "--u-tilde-over-2pi", "2"],
+    ["staircase", "--eta=1e300:1e300:1", "--u-tilde", "1"],
+    ["staircase", "--eta=0:0.5:0.5", "--u-tilde-over-2pi", "2", "--mode", "numeric"],
+    ["landscape", "--eta=0.25,0.5", "--u-tilde", "3", "--x-step", "0.25", "--peaks-output", "peaks.csv"],
+    ["hysteresis", "--eta=0:1.5:0.25", "--u-tilde-over-2pi", "0.2", "--loop"],
+]
+
+
+def test_commands_hand_the_renderer_only_the_cells_it_narrows_to(tmp_path, monkeypatch):
+    """Every column a command renders is a float64, int64, bool or str array, an object array of Python ints,
+    or a (values, index) pair of those.
+
+    The general path formats an object cell with str (CSV) or json.dumps (JSON), which writes a float or a
+    nested value unlike the cell-by-cell reference; this pins that no command makes one.
+    """
+    import acring.cli as cli
+
+    seen = []
+    render_csv, render_json = cli._render_csv, cli._render_json
+    monkeypatch.setattr(cli, "_render_csv", lambda columns: seen.append(columns) or render_csv(columns))
+    monkeypatch.setattr(cli, "_render_json", lambda *args: seen.append(args[-1].columns) or render_json(*args))
+    monkeypatch.setenv("ACRING_OUTPUT_DIR", str(tmp_path))
+    for argv in RENDERER_CONTRACT_CALLS:
+        for fmt in ("csv", "json"):
+            assert main([*argv, "--format", fmt, "--output", "out"]) == 0, argv
+    assert len(seen) == 2 * len(RENDERER_CONTRACT_CALLS) + 2  # and the landscape's peaks, once a format
+    for columns in seen:
+        for name, column in columns.items():
+            if isinstance(column, tuple):
+                column, index = column
+                assert index.dtype.kind == "i", name
+            if column.dtype == object:
+                assert all(type(cell) is int for cell in column.tolist()), name
+            else:
+                assert column.dtype in (np.float64, np.int64, np.bool_) or column.dtype.kind == "U", name
+
+
 def typed(column):
     """A column as a builder hands it over: the array numpy makes of it, or an object array where numpy cannot."""
     try:
@@ -1015,9 +1085,10 @@ class TestColumnarRendering:
 
     @staticmethod
     def reference_json(config, result):
+        subcommand, parameters = config
         payload = {
-            "command": config.subcommand,
-            "parameters": config.parameters,
+            "command": subcommand,
+            "parameters": parameters,
             "columns": list(result.columns),
             "rows": [dict(zip(result.columns, row)) for row in zip(*map(cell_values, result.columns.values()))],
         }
@@ -1034,18 +1105,18 @@ class TestColumnarRendering:
         assert "".join(_render_csv(table)) == self.reference_csv(header, list(zip(*map(cell_values, columns))))
         for extras in self.EXTRAS:
             result = CommandResult(table, extras=extras)
-            assert "".join(_render_json(self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
+            assert "".join(_render_json(*self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
 
     BIG = 10**400
     # the header's sorted order differs from its column order; every column
-    # but "mixed" and "nested" holds one value type
-    HEADER = ["zeta", "alpha", "special", "count", "flag", "missing", "text", "mixed", "nested"]
+    # holds one value type, as every command's columns do
+    HEADER = ["zeta", "alpha", "special", "count", "flag", "missing", "text"]
     ROWS = [
-        [0.0, 1e-300, math.inf, 0, True, None, 'say "hi"', 1.5, [1, [2.5, None]]],
-        [-0.0, 1e300, -math.inf, BIG, False, None, "back\\slash", None, {"b": 1, "a": "\u00e9"}],
-        [0.1, -2.5e-7, math.nan, -BIG, True, None, "gr\u00fc\u00dfe \u221e", "x", []],
-        [1 / 3, 123456789.123456789, 1.0, -7, False, None, "", True, {}],
-        [-1e-320, -1e16, -0.0, 2**63, True, None, "tab\there", 7, "s"],
+        [0.0, 1e-300, math.inf, 0, True, None, 'say "hi"'],
+        [-0.0, 1e300, -math.inf, BIG, False, None, "back\\slash"],
+        [0.1, -2.5e-7, math.nan, -BIG, True, None, "gr\u00fc\u00dfe \u221e"],
+        [1 / 3, 123456789.123456789, 1.0, -7, False, None, ""],
+        [-1e-320, -1e16, -0.0, 2**63, True, None, "tab\there"],
     ]
     TABLES = [
         (HEADER, ROWS),
@@ -1064,18 +1135,14 @@ class TestColumnarRendering:
         (["zero", "signed"], [[0.0, -0.0, 0.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0, -0.0]]),
         (["nan"], [[math.nan, 1.0, math.nan, -math.nan, math.inf, math.inf, -math.inf, 1.0]]),
         (["a", "n", "b"], [SHARED, [1, 2, 3, 4, 5], SHARED]),
-        (["height"], [[None, 0.5, None, 0.5, -0.0, 0.0, None]]),
-        (["height", "eta"], [[None, None], [-0.0, -0.0]]),
+        # empty cells as hysteresis hands them over: a pair whose index len(values) is the empty cell
+        (["height"], [(np.array([0.5, 0.5, -0.0, 0.0]), np.array([4, 0, 4, 1, 2, 3, 4]))]),
+        (["height", "eta"], [(np.array([]), np.array([0, 0])), [-0.0, -0.0]]),
         # more rows than one rendered piece holds (4096)
         (["i", "x", "half"], [list(range(9000)), [i % 7 / 3 for i in range(9000)], [i / 2 for i in range(9000)]]),
     ]
-    JSON_CONFIG = RunConfig(
-        subcommand="landscape",
-        # a parameter whose text looks like the rows key stays escaped inside its string
-        parameters={"eta": [0.5, -1.5], "note": '\n  "rows": []', "x_step": 0.25, "peaks_output": None},
-        output_path="-",
-        output_format="json",
-    )
+    # (subcommand, parameters); a parameter whose text looks like the rows key stays escaped inside its string
+    JSON_CONFIG = ("landscape", {"eta": [0.5, -1.5], "note": '\n  "rows": []', "x_step": 0.25, "peaks_output": None})
     EXTRAS = [{}, {"peaks": [{"eta": 0.5, "x_peak": 0.5}]}, {"unconverged_etas": [0.25, -0.0]}]
 
     @pytest.mark.parametrize("header, rows", TABLES)
@@ -1087,14 +1154,14 @@ class TestColumnarRendering:
     @pytest.mark.parametrize("extras", EXTRAS)
     def test_json_matches_json_dumps(self, header, rows, extras):
         result = CommandResult(self.table(header, rows), extras=extras)
-        assert "".join(_render_json(self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
+        assert "".join(_render_json(*self.JSON_CONFIG, result)) == self.reference_json(self.JSON_CONFIG, result)
 
     @pytest.mark.parametrize("header, columns", COLUMN_TABLES)
     def test_repeated_and_shared_columns(self, header, columns):
-        self.assert_renders(header, [column if isinstance(column, np.ndarray) else typed(column) for column in columns])
+        self.assert_renders(header, [column if isinstance(column, (np.ndarray, tuple)) else typed(column) for column in columns])
 
     def test_typed_columns_take_their_dtype_paths(self):
-        assert [typed(column).dtype.kind for column in zip(*self.ROWS)] == ["f", "f", "f", "O", "b", "O", "U", "O", "O"]
+        assert [typed(column).dtype.kind for column in zip(*self.ROWS)] == ["f", "f", "f", "O", "b", "O", "U"]
         signed = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-320, 1 / 3, -2.5e300])
         self.assert_renders(
             ["f", "i", "b", "s", "o"],
@@ -1103,15 +1170,15 @@ class TestColumnarRendering:
                 np.array([0, -1, 2**62, -(2**63), 7, 8, 9, 10, 11], dtype=np.int64),
                 np.array([True, False, False, True, True, False, True, True, False]),
                 np.array(["up", "down", "", 'q"uote', "\u00e9", "a,b", "x", "y", "z"]),
-                np.array([None, 1, 2.5, "s", True, [1], {"k": -0.0}, 10**30, -(10**30)], dtype=object),
+                np.array([None, 1, "s", True, -(2**70), "", False, 10**30, -(10**30)], dtype=object),
             ],
         )
         assert "".join(_render_csv({"f": signed})).split("\n")[1:5] == ["0", "-0", "nan", "nan"]
         result = CommandResult({"f": signed})
-        rows = json.loads("".join(_render_json(self.JSON_CONFIG, result)))["rows"]
+        rows = json.loads("".join(_render_json(*self.JSON_CONFIG, result)))["rows"]
         assert [row["f"] for row in rows][4:6] == [math.inf, -math.inf]
         finite = CommandResult({"f": signed[[0, 1, 6, 7, 8]]})
-        assert '"f": -0.0' in "".join(_render_json(self.JSON_CONFIG, finite))
+        assert '"f": -0.0' in "".join(_render_json(*self.JSON_CONFIG, finite))
 
     @pytest.mark.parametrize("pieces", [1, 3])
     def test_value_index_pairs(self, pieces):
