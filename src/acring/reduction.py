@@ -113,7 +113,11 @@ def effective_interaction(trap: TrapSetup) -> float:
     hbar^2/(2 M rho_0^2); mass, hbar and the torus radius all cancel, leaving
     the two-length form above.
     """
-    return 2.0 * trap.atom_count * trap.scattering_length / (trap.width_rho * trap.width_z)
+    widths = trap.width_rho * trap.width_z
+    u_tilde = 2.0 * trap.atom_count * trap.scattering_length / widths
+    if math.isinf(u_tilde):  # 2 N a_sc alone can overflow where the quotient does not
+        u_tilde = 2.0 * (trap.atom_count * (trap.scattering_length / widths))
+    return u_tilde
 
 
 def transverse_kinetic_offset(trap: TrapSetup) -> float:
@@ -186,15 +190,16 @@ def radial_term_diagnostic(trap: TrapSetup) -> float:
         # near the cutoff by rho itself, so neither loses digits to a difference
         d, weights = panels(np.linspace(-min(12.0 * s, 0.5 * rho0), 12.0 * s, _RADIAL_PANELS + 1))
         r = rho0 + d
-    # on a range symmetric about rho_0, -d / rho = -d / rho_0 + d^2 / (rho_0 rho) and
-    # the odd first part integrates to zero, so only a positive integrand is left
-    numerator = d * d / rho0
     if 12.0 * s > 0.5 * rho0:
         r_low, w_low = panels(np.geomspace(max(rho0 - 12.0 * s, 1e-9 * rho0), 0.5 * rho0, _RADIAL_PANELS + 1))
         d = np.concatenate((r_low - rho0, d))
         r = np.concatenate((r_low, r))
         weights = np.concatenate((w_low, weights))
         numerator = -d
+    else:
+        # on a range symmetric about rho_0, -d / rho = -d / rho_0 + d^2 / (rho_0 rho) and
+        # the odd first part integrates to zero, so only a positive integrand is left
+        numerator = d * d / rho0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
         integrand = numerator / (2.0 * s**2) * (2.0 * math.pi * s**2) ** -0.5 * np.exp(-(d**2) / (2.0 * s**2)) / r
         value = rho0**2 * float(weights @ integrand)

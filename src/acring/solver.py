@@ -63,7 +63,7 @@ _BATCH_AMPLITUDES = 2**17  # cap on rows * grid_size in one batched relaxation
 MAX_GRID_SIZE = 2**16  # larger grids are rejected before anything is allocated
 _MAX_ANGLE = 0.5  # cap on the great-circle step of one descent iteration (radians)
 _ENERGY_SLACK = 1e-13  # relative energy rise a descent step may keep: roundoff
-_HALVINGS = 60  # step halvings per iteration; past them a row keeps its state
+_HALVINGS = 60  # trials per iteration, each at half the angle of the one before; past them a row keeps its state
 # what the batched descent reports per row, and the global search per point
 _COLUMNS = {"winding": np.int64, "mu": float, "energy_per_particle": float, "iterations": np.int64, "converged": bool}
 
@@ -268,19 +268,18 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
     ||R|| <= tolerance * max(1, |mu|).  Otherwise the row moves along the
     great circle cos(theta) psi + sin(theta) d.  d is the Polak-Ribiere(+)
     combination of the tangent-projected preconditioned gradient P R,
-    P = 1/(kin + u/2pi + 1), with the previous direction, restarted as -P R
-    when it is not a descent direction.  theta minimizes the second-order
-    model of the energy along the circle (one more transform, for d on the
-    grid), capped at _MAX_ANGLE, then halved until the energy rises by at
-    most _ENERGY_SLACK * max(1, |E|), which is roundoff.  The first trial
-    runs on the live stack itself: when every row accepts it (nearly every
-    iteration) the trial arrays become the state, with no gather or
-    scatter.  Otherwise the accepted rows are written in place and only the
-    rest are gathered, halved and tried again, _HALVINGS trials in all; a
-    row that accepts none keeps its state.  A row that accepts none in two
-    iterations running would repeat the second to the end: its state,
-    residual and gradient come back bit for bit, and with them beta = 0 (or
-    a restart) and the direction -P R.  It leaves the stack at once with
+    P = 1/(kin + max(u, 0)/2pi + 1), with the previous direction, restarted
+    as -P R when it is not a descent direction.  theta minimizes the
+    second-order model of the energy along the circle (one more transform,
+    for d on the grid), capped at _MAX_ANGLE, then halved until the energy
+    rises by at most _ENERGY_SLACK * max(1, |E|), which is roundoff:
+    _HALVINGS trials in all.  The first runs on the live stack itself, and
+    when every row accepts it (nearly every iteration) the trial arrays
+    become the state; later trials run on the rows still refused.  A row
+    that accepts none keeps its state, and it is stuck when its direction
+    was -P R: its residual and gradient would come back bit for bit, with
+    them beta = 0 and the direction -P R, and it would repeat the iteration
+    to the end.  It leaves the stack at the next residual evaluation with
     the report max_iterations would give it.
 
     Every row keeps its own direction and angle and leaves the stack once it
@@ -300,11 +299,11 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
     out_iterations = np.zeros(rows, dtype=int)
     out_converged = np.zeros(rows, dtype=bool)
     live = np.arange(rows)
-    failed = np.full(rows, -1)  # per row: the last iteration that accepted no trial
-    halted = None  # rows of the stack that accepted no trial two iterations running
+    stuck = np.zeros(rows, dtype=bool)
     psi = np.fft.ifft(spec)
     mu, energy, dens = _energies(spec, psi, kin, u, v)
-    precond = kin + (u / TWO_PI + 1.0)
+    # the shift stops at u = 0: an attractive u would make P zero or negative on the lowest modes
+    precond = kin + (max(u, 0.0) / TWO_PI + 1.0)
     direction = np.zeros_like(spec)
     grad_prev = np.zeros_like(spec)
     slope_prev = np.full(rows, math.inf)  # beta = 0 on the first iteration
@@ -319,28 +318,24 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
         if history is not None:
             history.append(float(energy[0]))
         stop = res <= tolerance * np.maximum(1.0, np.abs(mu))
-        leave = stop if it < max_iterations else np.ones_like(stop)
-        if halted is not None:
-            leave = leave | halted
-        if not (np.isfinite(mu).all() and np.isfinite(energy).all() and np.isfinite(res).all()):
-            finite = np.isfinite(mu) & np.isfinite(energy) & np.isfinite(res)
-            stop, leave = stop & finite, leave | ~finite
+        # where res is finite so is mu (R holds mu times a unit spectrum), and so is the
+        # energy, which lies between mu and its kinetic part
+        finite = np.isfinite(res)
+        leave = stop | ~finite | stuck if it < max_iterations else np.ones_like(stop)
         if leave.any():
             done = live[leave]
             out_psi[done], out_mu[done], out_energy[done] = psi[leave], mu[leave], energy[leave]
-            out_iterations[done], out_converged[done] = it, stop[leave]
-            if halted is not None:
-                out_iterations[live[halted]] = max_iterations
-                if history is not None:
-                    history.extend([history[-1]] * (max_iterations - it))
-                halted = None
+            out_iterations[done] = np.where(stuck[leave], max_iterations, it)
+            out_converged[done] = (stop & finite)[leave]
+            if history is not None and stuck[0]:
+                history.extend([history[-1]] * (max_iterations - it))
             keep = ~leave
             live = live[keep]
             if live.size == 0:
                 break
-            spec, psi, kin, precond, mu, energy, dens, field, resid, direction, grad_prev, slope_prev = (
+            spec, psi, kin, precond, mu, energy, dens, field, resid, direction, grad_prev, slope_prev, stuck = (
                 a[keep]
-                for a in (spec, psi, kin, precond, mu, energy, dens, field, resid, direction, grad_prev, slope_prev)
+                for a in (spec, psi, kin, precond, mu, energy, dens, field, resid, direction, grad_prev, slope_prev, stuck)
             )
 
         grad = resid / precond
@@ -369,33 +364,23 @@ def _descend(spec, kin, u: float, v, tolerance: float, max_iterations: int, hist
         angle = np.where(second > 0.0, np.minimum(-first / second, _MAX_ANGLE), _MAX_ANGLE)
         ceiling = energy + _ENERGY_SLACK * np.maximum(1.0, np.abs(energy))
 
-        # the first trial runs on the whole stack; nearly always every row takes it
-        trial, trial_psi, trial_mu, trial_energy, trial_dens = _trial(angle, spec, psi, unit, unit_psi, kin, u, v)
-        ok = trial_energy <= ceiling
-        if ok.all():
-            spec, psi, dens, mu, energy = trial, trial_psi, trial_dens, trial_mu, trial_energy
-            continue
-        spec[ok], psi[ok], dens[ok] = trial[ok], trial_psi[ok], trial_dens[ok]
-        mu[ok], energy[ok] = trial_mu[ok], trial_energy[ok]
-        todo = np.flatnonzero(~ok)
-        for _ in range(_HALVINGS - 1):
-            angle[todo] *= 0.5
-            trial, trial_psi, trial_mu, trial_energy, trial_dens = _trial(
-                angle[todo], spec[todo], psi[todo], unit[todo], unit_psi[todo], kin[todo], u, v
-            )
-            ok = trial_energy <= ceiling[todo]
+        todo = slice(None)  # the first trial runs on views of the whole stack
+        for _ in range(_HALVINGS):
+            trial = _trial(angle[todo], spec[todo], psi[todo], unit[todo], unit_psi[todo], kin[todo], u, v)
+            ok = trial[3] <= ceiling[todo]  # the trial energies
+            if isinstance(todo, slice):
+                if ok.all():
+                    spec, psi, mu, energy, dens = trial
+                    break
+                todo = np.arange(live.size)
             moved = todo[ok]
-            spec[moved], psi[moved], dens[moved] = trial[ok], trial_psi[ok], trial_dens[ok]
-            mu[moved], energy[moved] = trial_mu[ok], trial_energy[ok]
+            spec[moved], psi[moved], mu[moved], energy[moved], dens[moved] = (a[ok] for a in trial)
             todo = todo[~ok]
             if todo.size == 0:
                 break
-        if todo.size:  # rows that accepted no trial
-            again = todo[failed[live[todo]] == it - 1]
-            failed[live[todo]] = it
-            if again.size:
-                halted = np.zeros(live.size, dtype=bool)
-                halted[again] = True
+            angle[todo] *= 0.5
+        else:  # these rows accepted no trial; along -P R the next iteration would repeat this one
+            stuck[todo] = restart[todo] | ~(beta[todo] > 0.0)
     return out_psi, out_mu, out_energy, out_iterations, out_converged
 
 

@@ -166,7 +166,11 @@ def required_line_density(eta_target: float, lande_g: float) -> float:
     _require_finite(eta_target=eta_target, lande_g=lande_g)
     _require(lande_g != 0, "lande_g must be nonzero")
     denominator = lande_g * CONSTANTS.fine_structure_alpha * CONSTANTS.compton_length
-    return eta_target / _divisor(denominator, "lande_g", lande_g)
+    density = eta_target / _divisor(denominator, "lande_g", lande_g)
+    _require(
+        math.isfinite(density), f"linear_charge_density is {density}: eta_target and lande_g take it past the float range"
+    )
+    return density
 
 
 def field_line_charge(setup: LineChargeSetup) -> float:
@@ -217,7 +221,12 @@ def required_torus_charges(eta_target: float, lande_g: float, torus_radius: floa
     _require(lande_g != 0, "lande_g must be nonzero")
     _require(torus_radius > 0, "torus_radius must be > 0")
     rho0_bar = torus_radius / CONSTANTS.compton_length
-    return 2.0 * rho0_bar * eta_target / _divisor(lande_g * CONSTANTS.fine_structure_alpha, "lande_g", lande_g)
+    charges = 2.0 * rho0_bar * eta_target / _divisor(lande_g * CONSTANTS.fine_structure_alpha, "lande_g", lande_g)
+    _require(
+        math.isfinite(charges),
+        f"sphere_charge_count is {charges}: eta_target, lande_g and torus_radius take it past the float range",
+    )
+    return charges
 
 
 def field_torus(setup: TorusChargeSetup) -> float:

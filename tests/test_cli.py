@@ -98,6 +98,16 @@ class TestEstimate:
             (["--geometry", "torus", "--sphere-charges", "1e9", "--g-f", "nan"], "lande_g must be finite, got nan"),
             # rho0_bar**2 overflowed: exit 4 "(34, 'Numerical result out of range')"
             (["--geometry", "torus", "--radius", "1e200", "--eta-target", "1"], "torus_radius=1e+200 is too large"),
+            # a charge past the float range: "sphere_charge_count must be finite, got inf" and
+            # "linear_charge_density must be finite, got inf" before
+            (
+                ["--geometry", "torus", "--eta-target", "1e300", "--radius", "1"],
+                "sphere_charge_count is inf: eta_target, lande_g and torus_radius take it past the float range",
+            ),
+            (
+                ["--geometry", "line", "--eta-target", "1", "--g-f", "1e-300"],
+                "linear_charge_density is inf: eta_target and lande_g take it past the float range",
+            ),
         ],
     )
     def test_float_extremes_exit_3(self, tmp_path, capsys, argv, message):
@@ -792,20 +802,26 @@ class TestReduceCommand:
         assert not out.exists()
 
     def test_overflowing_diagnostic_exits_3_without_warnings(self, tmp_path, capsys):
-        # a torus 1e50 times thicker than its radius: the radial integrand overflowed in divide,
-        # with a numpy RuntimeWarning, and radial_term_diagnostic was written as inf with exit 0
         out = tmp_path / "r.csv"
-        argv = ["reduce", "--atoms", "1e300", "--scattering-length", "1e-300", "--mass", "1e300",
-                "--radius", "1e-150", "--width-rho", "1e-100", "--width-z", "1e-150", "--output", str(out)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(argv)
-        err_lines = capsys.readouterr().err.splitlines()
-        assert code == 3
-        assert err_lines == [
-            "error: validation: the radial-term diagnostic overflows the floats at this width_rho and torus_radius"
-        ]
-        assert not out.exists()
+        for trap in (
+            # a torus 1e50 times thicker than its radius: the radial integrand overflowed in divide,
+            # with a numpy RuntimeWarning, and radial_term_diagnostic was written as inf with exit 0
+            ["--atoms", "1e300", "--scattering-length", "1e-300", "--mass", "1e300",
+             "--radius", "1e-150", "--width-rho", "1e-100", "--width-z", "1e-150"],
+            # 1e157 times thicker, at u_tilde = 200: exit 3 "u_tilde is inf" before, and
+            # the squared offsets the diagnostic does not use overflowed with a RuntimeWarning
+            ["--atoms", "1e300", "--scattering-length", "1e10", "--mass", "3.8175e-26",
+             "--radius", "1e-3", "--width-rho", "1e154", "--width-z", "1e154"],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["reduce", *trap, "--output", str(out)])
+            err_lines = capsys.readouterr().err.splitlines()
+            assert code == 3
+            assert err_lines == [
+                "error: validation: the radial-term diagnostic overflows the floats at this width_rho and torus_radius"
+            ]
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, name",
@@ -837,6 +853,11 @@ class TestReduceCommand:
         out = tmp_path / "r.csv"
         assert main(self.ARGV + ["--output", str(out)]) == 0
         assert read_csv(out)[0][0] == "eta"
+        # 2 N a_sc overflows the floats, u_tilde does not: exit 3 "u_tilde is inf" before
+        trap = ["--atoms", "1e300", "--scattering-length", "1e10", "--width-rho", "1e150", "--width-z", "1e154"]
+        assert main(self.ARGV + trap + ["--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert float(dict(zip(header, rows[0]))["u_tilde"]) == pytest.approx(2e6, rel=1e-12)
 
 
 class TestConfigAndEnvironment:

@@ -92,6 +92,9 @@ class TestEffectiveInteraction:
     def test_worked_example(self):
         trap = _trap(atom_count=1e6, scattering_length=3e-9, width_rho=10e-6, width_z=10e-6)
         assert effective_interaction(trap) == pytest.approx(6e7, rel=1e-12)
+        # 2 N a_sc alone overflows the floats here
+        trap = _trap(atom_count=1e300, scattering_length=1e10, width_rho=1e154, width_z=1e154)
+        assert effective_interaction(trap) == pytest.approx(200.0, rel=1e-15)
 
     def test_ideal_gas_is_noninteracting(self):
         assert effective_interaction(_trap(atom_count=1, scattering_length=0.0)) == 0.0
