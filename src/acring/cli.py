@@ -176,11 +176,19 @@ def _write_text(output_path: str, pieces) -> None:
         out.writelines(pieces)
 
 
+def _floats(parts, form: str) -> list:
+    """The parts as floats; a part that is not a number is a usage error that names the expected form."""
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {form}") from None
+
+
 def _parse_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected start:stop:step")
-    return tuple(float(p) for p in parts)
+    return tuple(_floats(parts, "start:stop:step"))
 
 
 class _GridRejected(Exception):
@@ -199,8 +207,8 @@ def _parse_values(text: str) -> list:
         except ValueError as err:
             raise _GridRejected(str(err)) from None
     if "," in text:
-        return [float(p) for p in text.split(",") if p.strip()]
-    return [float(text)]
+        return _floats([p for p in text.split(",") if p.strip()], "a comma list of numbers")
+    return _floats([text], "a number")
 
 
 def _interaction(p: dict) -> float:

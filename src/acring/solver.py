@@ -106,14 +106,9 @@ class RingWavefunction:
     def grid_size(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def phi(self) -> np.ndarray:
-        return phi_grid(self.grid_size)
-
     def norm_squared(self) -> float:
         """Integral of |psi|^2 over the ring (trapezoid = exact on this grid)."""
-        a = self.amplitudes
-        return float((a.real**2 + a.imag**2).sum()) * TWO_PI / self.grid_size
+        return float(self.density().sum()) * TWO_PI / self.grid_size
 
     def density(self) -> np.ndarray:
         a = self.amplitudes
@@ -200,7 +195,7 @@ def apply_hamiltonian(psi: RingWavefunction, params: RingParams) -> RingWavefunc
     a = psi.amplitudes
     k = mode_numbers(psi.grid_size)
     kinetic = np.fft.ifft((k - params.eta) ** 2 * np.fft.fft(a))
-    return RingWavefunction(kinetic + params.u_tilde * (a.real**2 + a.imag**2) * a)
+    return RingWavefunction(kinetic + params.u_tilde * psi.density() * a)
 
 
 def _kinetic(grid_size: int, eta) -> np.ndarray:
@@ -498,8 +493,9 @@ def _pick_grounds(rows: dict, seeds: int, tolerance: float) -> np.ndarray:
 
 
 def _search_input(etas, u_tilde: float, settings: SolverSettings | None) -> tuple:
-    """Validated float64 etas and settings (by default a small seeded noise) for the global search.
+    """(etas, centre, settings) for the global search: validated float64 etas, the seeds' centres and settings.
 
+    centre is nearest_winding(etas), formed once per search; settings default to a small seeded noise.
     Rejects a non-finite eta or u_tilde, and names the first eta whose seed windings do not fit the grid.
     """
     if settings is None:
@@ -519,13 +515,12 @@ def _search_input(etas, u_tilde: float, settings: SolverSettings | None) -> tupl
             f"the global search at eta={etas[first]} seeds windings up to |m0| = {reach}, "
             f"but grid_size={settings.grid_size} holds only |m0| < {half}"
         )
-    return etas, settings
+    return etas, centre, settings
 
 
-def _search_chunk(etas: np.ndarray, u_tilde: float, settings: SolverSettings) -> tuple:
-    """Relax the seeds of every point of etas side by side: (amplitudes, rows, winning row per point)."""
+def _search_chunk(etas: np.ndarray, centre: np.ndarray, u_tilde: float, settings: SolverSettings) -> tuple:
+    """Relax the seeds around each point's centre side by side: (amplitudes, rows, winning row per point)."""
     shifts = np.array(SEED_SHIFTS)
-    centre, _ = nearest_winding(etas)
     psi, rows = _relax_batch(u_tilde, settings, np.repeat(etas, len(shifts)), (centre[:, None] + shifts).ravel())
     return psi, rows, _pick_grounds(rows, len(shifts), settings.tolerance)
 
@@ -541,13 +536,14 @@ def global_grounds(etas, u_tilde: float, settings: SolverSettings | None = None)
     slice of etas and is dropped once its winners' values are taken, so
     beyond the columns memory stays bounded.
     """
-    etas, settings = _search_input(etas, u_tilde, settings)
+    etas, centre, settings = _search_input(etas, u_tilde, settings)
     per_chunk = max(1, _BATCH_AMPLITUDES // (len(SEED_SHIFTS) * settings.grid_size))
     columns = {name: np.empty(len(etas), dtype=dtype) for name, dtype in _COLUMNS.items()}
     for start in range(0, len(etas), per_chunk):
-        rows, winners = _search_chunk(etas[start : start + per_chunk], u_tilde, settings)[1:]
+        chunk = slice(start, start + per_chunk)
+        rows, winners = _search_chunk(etas[chunk], centre[chunk], u_tilde, settings)[1:]
         for name, column in columns.items():
-            column[start : start + len(winners)] = rows[name][winners]
+            column[chunk] = rows[name][winners]
     return columns
 
 
@@ -569,16 +565,14 @@ def global_ground(params: RingParams, settings: SolverSettings | None = None) ->
     global_grounds at one point, and the one search that returns a state:
     a copy of the winner's row.
     """
-    etas, settings = _search_input([params.eta], params.u_tilde, settings)
-    psi, rows, (winner,) = _search_chunk(etas, params.u_tilde, settings)
+    etas, centre, settings = _search_input([params.eta], params.u_tilde, settings)
+    psi, rows, (winner,) = _search_chunk(etas, centre, params.u_tilde, settings)
     return _report(psi, rows, winner)
 
 
 def dump_wavefunction(psi: RingWavefunction, path) -> None:
     """Write (phi_j, Re psi_j, Im psi_j) as plain text columns."""
     a = psi.amplitudes
-    phi = psi.phi
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# phi re_psi im_psi\n")
-        for j in range(psi.grid_size):
-            fh.write(f"{phi[j]:.17g} {a[j].real:.17g} {a[j].imag:.17g}\n")
+    columns = np.column_stack((phi_grid(a.size), a.real, a.imag))
+    with open(path, "w", encoding="utf-8") as fh:  # savetxt given a name would gzip one ending in .gz
+        np.savetxt(fh, columns, fmt="%.17g", header="phi re_psi im_psi", comments="# ")

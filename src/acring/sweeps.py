@@ -99,7 +99,9 @@ class StaircaseSpec:
     mode 'analytic' uses the nearest-integer rule; 'numeric' runs the
     multi-seed numeric search at every point.  condensate_weight w
     in [0, 1] sets the thermal average; w = 1 is the pure staircase, w = 0
-    the classical line.
+    the classical line.  Construction validates the grid by eta_grid's rule
+    (finite bounds, step > 0, stop >= start, at most MAX_GRID_POINTS
+    points) and a finite u_tilde, so a spec that exists is a valid one.
     """
 
     eta_start: float
@@ -110,14 +112,12 @@ class StaircaseSpec:
     condensate_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.eta_step <= 0:
-            raise ValueError("eta_step must be > 0")
-        if self.eta_stop < self.eta_start:
-            raise ValueError("eta_stop must be >= eta_start")
+        _grid_count(self.eta_start, self.eta_stop, self.eta_step)
         if not 0.0 <= self.condensate_weight <= 1.0:
             raise ValueError("condensate_weight must lie in [0, 1]")
         if self.mode not in ("analytic", "numeric"):
             raise ValueError("mode must be 'analytic' or 'numeric'")
+        _finite("u_tilde", self.u_tilde)
 
 
 class LandscapeResult(NamedTuple):
@@ -170,7 +170,6 @@ def staircase(spec: StaircaseSpec, settings: SolverSettings | None = None) -> di
     """
     w = spec.condensate_weight
     etas = _grid(spec.eta_start, spec.eta_stop, spec.eta_step)
-    _finite("u_tilde", spec.u_tilde)
     winding, degenerate = nearest_winding(etas)
     if spec.mode == "numeric":
         numeric = global_grounds(etas, spec.u_tilde, settings)
@@ -210,8 +209,6 @@ def landscape(m: int, eta_values, u_tilde: float, x_step: float) -> LandscapeRes
     overflow floats (|eta - m| past about 1e154, or u_tilde near the float
     range), before any row is built.
     """
-    if x_step <= 0:
-        raise ValueError("x_step must be > 0")
     if u_tilde <= 0:
         raise ValueError("landscape requires u_tilde > 0")
     etas = np.array(list(eta_values), dtype=float)

@@ -451,10 +451,31 @@ class TestStaircaseCommand:
         assert "expected start:stop:step" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_descending_range_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["staircase", "--eta", "0:1:x"],
+            ["landscape", "--eta", "0:x:0.1"],
+            ["hysteresis", "--eta", "0.1,x"],
+            ["hysteresis", "--eta="],
+        ],
+        ids=" ".join,
+    )
+    def test_eta_that_is_not_numbers_names_the_expected_form(self, tmp_path, capsys, args):
         out = tmp_path / "g.csv"
-        assert main(["staircase", "--eta=1:0:0.5", "--u-tilde", "1", "--output", str(out)]) == 3
-        assert capsys.readouterr().err == "error: validation: eta_stop must be >= eta_start\n"
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--u-tilde", "1", "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --eta: expected" in err
+        assert "_parse" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["staircase", "landscape", "hysteresis"])
+    def test_descending_range_exits_3(self, tmp_path, capsys, command):
+        out = tmp_path / "g.csv"
+        assert main([command, "--eta=1:0:0.5", "--u-tilde", "1", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == "error: validation: stop must be >= start\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

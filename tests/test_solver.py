@@ -759,3 +759,9 @@ def test_dump_wavefunction_round_trips(tmp_path):
     np.testing.assert_allclose(data[:, 0], phi_grid(256), atol=1e-15)
     reloaded = data[:, 1] + 1j * data[:, 2]
     np.testing.assert_allclose(reloaded, report.wavefunction.amplitudes, atol=1e-15)
+    a = report.wavefunction.amplitudes
+    rows = [f"{x:.17g} {y.real:.17g} {y.imag:.17g}\n" for x, y in zip(phi_grid(256).tolist(), a.tolist())]
+    assert path.read_text(encoding="utf-8") == "# phi re_psi im_psi\n" + "".join(rows)
+    gz = tmp_path / "psi.txt.gz"  # plain text whatever the name
+    dump_wavefunction(report.wavefunction, gz)
+    assert gz.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")

@@ -214,6 +214,13 @@ class TestStaircaseAnalytic:
             StaircaseSpec(0.0, 1.0, 0.1, u_tilde=1.0, condensate_weight=1.5)
         with pytest.raises(ValueError):
             StaircaseSpec(0.0, 1.0, 0.1, u_tilde=1.0, mode="magic")
+        # the grid rule of eta_grid, and a finite u_tilde, hold from construction on
+        with pytest.raises(ValueError, match="the grid's start must be finite"):
+            StaircaseSpec(math.nan, 1.0, 0.1, u_tilde=1.0)
+        with pytest.raises(ValueError, match="grid would exceed"):
+            StaircaseSpec(0.0, 1.0, 1e-9, u_tilde=1.0)
+        with pytest.raises(ValueError, match="u_tilde must be finite"):
+            StaircaseSpec(0.0, 1.0, 0.1, u_tilde=math.inf)
 
 
 class TestStaircaseNumeric:
